@@ -100,10 +100,9 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	}
 
 	// Reconciliation: trace spans and counters vs the printed report stats.
-	// The trace records every solver invocation; the report accounts only
-	// queries merged before the verdict, and a confirmed counterexample
-	// returns early (see DESIGN §10) — so on this unsafe circuit the trace
-	// may exceed the report, never the reverse.
+	// The trace records every solver invocation, and the report accounts
+	// every task of a round before a confirmed counterexample ends the
+	// analysis — so even on this unsafe circuit the two agree exactly.
 	c := metrics.Counters
 	if got := spanEnds["core.query"]; int64(got) != c["smt.queries"] {
 		t.Errorf("core.query span count = %d, smt.queries counter = %d", got, c["smt.queries"])
@@ -111,11 +110,11 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	if got := spanEnds["smt.solve"]; int64(got) != c["smt.queries"] {
 		t.Errorf("smt.solve span count = %d, smt.queries counter = %d", got, c["smt.queries"])
 	}
-	if c["smt.queries"] < int64(rep.Stats.Queries) {
-		t.Errorf("smt.queries counter = %d < %d accounted queries", c["smt.queries"], rep.Stats.Queries)
+	if c["smt.queries"] != int64(rep.Stats.Queries) {
+		t.Errorf("smt.queries counter = %d, report says %d queries", c["smt.queries"], rep.Stats.Queries)
 	}
-	if c["smt.steps"] < rep.Stats.SolverSteps {
-		t.Errorf("smt.steps counter = %d < %d accounted steps", c["smt.steps"], rep.Stats.SolverSteps)
+	if c["smt.steps"] != rep.Stats.SolverSteps {
+		t.Errorf("smt.steps counter = %d, report says %d solver steps", c["smt.steps"], rep.Stats.SolverSteps)
 	}
 	if got := events["core.cache_hit"]; got != rep.Stats.CacheHits {
 		t.Errorf("core.cache_hit event count = %d, report says %d cache hits", got, rep.Stats.CacheHits)

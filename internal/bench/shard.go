@@ -9,7 +9,7 @@ import (
 
 // Deterministic sharding for CI: `qed2bench -shard i/n` runs every
 // instance whose index in the assembled run list (suite order, then corpus
-// manifest order) is congruent to i-1 mod n. The partition is a pure
+// manifest order) equals i-1 modulo n. The partition is a pure
 // function of the instance list, so n shard invocations cover each
 // instance exactly once, and because golden snapshots are keyed and sorted
 // by instance name, merging the n per-shard snapshots reproduces the

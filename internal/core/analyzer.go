@@ -257,10 +257,10 @@ type Stats struct {
 	// determined by its classic rules (const/solve/bits propagation) beyond
 	// what uniqueness propagation derives on its own (provenance
 	// RuleStatic); StaticRangeUnique counts those proven only by the range
-	// domains (interval/congruence singleton promotion — facts the classic
-	// rules cannot derive, see DESIGN.md §17). Their sum is the total
-	// number of injected static facts. StaticQueriesAvoided counts slice
-	// queries skipped because the pre-pass proved the target lives in a
+	// engine (interval singleton promotion and the one-hot rule — facts the
+	// classic rules cannot derive, see DESIGN.md §17). Their sum is the
+	// total number of injected static facts. StaticQueriesAvoided counts
+	// slice queries skipped because the pre-pass proved the target lives in a
 	// component no output verdict can observe, and StaticRangePruned counts
 	// solver queries (the round-1 slice query, plus the final whole-circuit
 	// query for outputs) never issued because a range-domain fact had
@@ -647,9 +647,14 @@ func (a *analysis) runFull() {
 		rs := a.cfg.Obs.Start(a.span, "core.round",
 			obs.KV("round", round), obs.KV("tasks", len(tasks)))
 		a.runRound(tasks, snap)
-		before := a.prop.NumUnique()
+		// Account the whole round before folding it: a confirmed
+		// counterexample below returns early, and the work the later tasks
+		// already did must still reach Stats.
 		for _, t := range tasks {
 			a.accountTask(t)
+		}
+		before := a.prop.NumUnique()
+		for _, t := range tasks {
 			if t.out.Status == smt.StatusUnsat {
 				a.prop.AddUniqueExternal(t.sig)
 				continue
@@ -725,9 +730,11 @@ func (a *analysis) finalOutputsStage() {
 		}
 		round++
 		a.runRound(tasks, snap)
+		for _, t := range tasks { // accounted before folding, as in runFull
+			a.accountTask(t)
+		}
 		before := a.prop.NumUnique()
 		for _, t := range tasks {
-			a.accountTask(t)
 			switch t.out.Status {
 			case smt.StatusUnsat:
 				a.prop.AddUniqueExternal(t.sig)

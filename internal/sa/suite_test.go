@@ -130,3 +130,31 @@ func TestStaticReportDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("static findings differ across worker counts:\n%s\n%s", enc[0], enc[1])
 	}
 }
+
+// TestSuiteStaticInjectionTotals pins how many facts the static pre-pass
+// injects across the paper's suite. The findings gate cannot see injected
+// facts, so this is the guard that a change to the abstract domains keeps
+// the facts core acts on. Only the pre-pass matters here, so the global
+// step budget is 1 (the same compile-dominated configuration as
+// BenchmarkTable1Stats).
+func TestSuiteStaticInjectionTotals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiling the full suite is slow")
+	}
+	var unique, rangeUnique, rangePruned int
+	for _, inst := range bench.Suite() {
+		prog, err := inst.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", inst.Name, err)
+		}
+		rep := core.Analyze(prog.System, &core.Config{Seed: 1, GlobalSteps: 1})
+		unique += rep.Stats.StaticUnique
+		rangeUnique += rep.Stats.StaticRangeUnique
+		rangePruned += rep.Stats.StaticRangePruned
+	}
+	const wantUnique, wantRangeUnique, wantRangePruned = 13, 15, 15
+	if unique != wantUnique || rangeUnique != wantRangeUnique || rangePruned != wantRangePruned {
+		t.Errorf("static injection totals = %d/%d/%d (unique/range-unique/range-pruned), want %d/%d/%d",
+			unique, rangeUnique, rangePruned, wantUnique, wantRangeUnique, wantRangePruned)
+	}
+}

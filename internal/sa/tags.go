@@ -7,7 +7,7 @@ import (
 )
 
 // The signal-tag lattice, à la Circom tags: a compact, human-oriented view
-// of the abstract state. Where the interval/congruence domains carry exact
+// of the abstract state. Where the interval domain carries exact
 // per-signal sets, tags name the handful of shapes circuit authors reason
 // in — `binary`, `maxbit(k)`, `nonzero`, `const` — and flow along the
 // dependency graph simply because the underlying domains do. Detectors
@@ -87,25 +87,4 @@ func (st *AbsState) TagString(id int) string {
 		parts[i] = t.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// MaxBitsOf returns the tightest maxbit(k) bound implied by the state
-// (binary signals are maxbit(1), constants their own bit length), and
-// whether any bound is known. This is the bound the overflow-prone-sum
-// detector folds over.
-func (st *AbsState) MaxBitsOf(id int) (int, bool) {
-	if st.isConst[id] {
-		s := st.sys.Field().Signed(st.constVal[id])
-		if s.Sign() < 0 {
-			return 0, false
-		}
-		return s.BitLen(), true
-	}
-	if iv := st.ival[id]; iv != nil {
-		return iv.maxBits()
-	}
-	if st.isBool[id] {
-		return 1, true
-	}
-	return 0, false
 }
