@@ -22,6 +22,9 @@ type traceLine struct {
 	ID         int64                      `json:"id"`
 	Parent     int64                      `json:"parent"`
 	Name       string                     `json:"name"`
+	Sig        *int                       `json:"sig"`
+	Full       bool                       `json:"full"`
+	Reason     string                     `json:"reason"`
 	Counters   map[string]int64           `json:"counters"`
 	Histograms map[string]json.RawMessage `json:"histograms"`
 }
@@ -101,8 +104,9 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 
 	// Reconciliation: trace spans and counters vs the printed report stats.
 	// The trace records every solver invocation, and the report accounts
-	// every task of a round before a confirmed counterexample ends the
-	// analysis — so even on this unsafe circuit the two agree exactly.
+	// every query up to and including the confirming one; at one worker no
+	// query past it is ever started — so even on this unsafe circuit the two
+	// agree exactly.
 	c := metrics.Counters
 	if got := spanEnds["core.query"]; int64(got) != c["smt.queries"] {
 		t.Errorf("core.query span count = %d, smt.queries counter = %d", got, c["smt.queries"])
@@ -137,6 +141,44 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	}
 	if spanEnds["core.confirm"] == 0 {
 		t.Error("unsafe verdict with no core.confirm span")
+	}
+	// The round stops at its confirmed counterexample: the confirming
+	// full-circuit query on the flagged output is the last core.query span
+	// of the run, and nothing after it was skipped-and-counted either.
+	var lastQuery, confirm *traceLine
+	for i := range lines {
+		l := &lines[i]
+		if l.Ev != "span_start" {
+			continue
+		}
+		switch l.Name {
+		case "core.query":
+			lastQuery = l
+		case "core.confirm":
+			confirm = l
+		}
+	}
+	if lastQuery == nil || confirm == nil || lastQuery.Sig == nil || confirm.Sig == nil {
+		t.Fatal("trace lacks a core.query or core.confirm span with a sig attribute")
+	}
+	if *lastQuery.Sig != *confirm.Sig || !lastQuery.Full || lastQuery.ID > confirm.ID {
+		t.Errorf("last core.query span (id %d, sig %d, full %v) is not the confirming query of sig %d",
+			lastQuery.ID, *lastQuery.Sig, lastQuery.Full, *confirm.Sig)
+	}
+	// At one worker the tasks past the cutoff are never started, and each
+	// is reported once.
+	afterCE := 0
+	for _, l := range lines {
+		if l.Ev == "event" && l.Name == "core.query.skipped" && l.Reason == "after-counterexample" {
+			afterCE++
+		}
+	}
+	if afterCE == 0 || int64(afterCE) != c["core.query.cutoff_skipped"] {
+		t.Errorf("%d after-counterexample skip events, core.query.cutoff_skipped = %d; want equal and nonzero",
+			afterCE, c["core.query.cutoff_skipped"])
+	}
+	if c["core.query.abandoned"] != 0 {
+		t.Errorf("core.query.abandoned = %d at one worker, want 0", c["core.query.abandoned"])
 	}
 	// Every SMT status tally must sum to the query count.
 	if sum := c["smt.status.sat"] + c["smt.status.unsat"] + c["smt.status.unknown"]; sum != c["smt.queries"] {

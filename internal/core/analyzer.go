@@ -240,7 +240,11 @@ type Stats struct {
 	// UniqueTotal counts all known-unique signals at the end (seeds
 	// included).
 	UniqueTotal int
-	// Queries and SolverSteps measure SMT effort.
+	// Queries and SolverSteps measure SMT effort: every query up to and
+	// including the confirming one. A round stops at its first confirmed
+	// counterexample (DESIGN.md §8), so queries past it never count — at
+	// Workers > 1 the ones already in flight are abandoned and show only in
+	// the trace.
 	Queries     int
 	SolverSteps int64
 	// CacheHits counts slice queries answered from the slice-signature memo
@@ -358,6 +362,9 @@ type analysis struct {
 	start    time.Time
 	deadline time.Time // zero when cfg.Timeout == 0 and ctx has no deadline
 	stepsRem atomic.Int64
+	// stepsHeld is the part of the pool held by grants not yet settled;
+	// GlobalSteps − stepsRem − stepsHeld is what queries actually spent.
+	stepsHeld atomic.Int64
 	// nPanics/nRetries count quarantined query panics and their barrier
 	// retries; atomics because the recover boundary runs on worker
 	// goroutines. Folded into Stats at the end of the analysis.
@@ -390,6 +397,8 @@ type analysis struct {
 	cConfirmOK      *obs.Counter
 	cPanics         *obs.Counter
 	cRetries        *obs.Counter
+	cCutoffSkipped  *obs.Counter
+	cAbandoned      *obs.Counter
 	cBatchGroups    *obs.Counter
 	cBatchTasks     *obs.Counter
 	cIncFallbacks   *obs.Counter
@@ -448,6 +457,8 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	a.cConfirmOK = c.Metrics.Counter("core.confirm.ok")
 	a.cPanics = c.Metrics.Counter("core.query.panics")
 	a.cRetries = c.Metrics.Counter("core.query.retries")
+	a.cCutoffSkipped = c.Metrics.Counter("core.query.cutoff_skipped")
+	a.cAbandoned = c.Metrics.Counter("core.query.abandoned")
 	a.cBatchGroups = c.Metrics.Counter("core.batch.groups")
 	a.cBatchTasks = c.Metrics.Counter("core.batch.grouped_tasks")
 	a.cIncFallbacks = c.Metrics.Counter("core.batch.fallbacks")
@@ -543,8 +554,8 @@ func (a *analysis) stopReason(budgetReason string) string {
 }
 
 // reserve atomically takes up to QuerySteps from the remaining global
-// budget, returning the granted step budget (0 when exhausted). Unused
-// steps are returned with refund, so budget accounting is exact and — since
+// budget, returning the granted step budget (0 when exhausted). Every grant
+// is closed with settle, so budget accounting is exact and — since
 // reservations happen sequentially in canonical signal order at round
 // dispatch — deterministic regardless of worker count.
 func (a *analysis) reserve() int64 { return a.reserveN(a.cfg.QuerySteps) }
@@ -562,14 +573,30 @@ func (a *analysis) reserveN(want int64) int64 {
 			grant = rem
 		}
 		if a.stepsRem.CompareAndSwap(rem, rem-grant) {
+			a.stepsHeld.Add(grant)
 			return grant
 		}
 	}
 }
 
-// refund returns unused reserved steps to the global pool. n may be
-// negative (a query's final step check can overshoot its grant by one).
-func (a *analysis) refund(n int64) { a.stepsRem.Add(n) }
+// settle closes a grant: used steps are spent, the rest returns to the
+// pool. used may exceed grant (a query's final step check can overshoot its
+// grant by one).
+func (a *analysis) settle(grant, used int64) {
+	a.stepsHeld.Add(-grant)
+	a.stepsRem.Add(grant - used)
+}
+
+// exhaustedReason words a failed reservation. While no step has been spent
+// the pool is empty only because this round's queries hold it all —
+// Decoder(32) admits 20 full-circuit queries of 20k steps against a 400k
+// pool — and saying "exhausted" there would be false.
+func (a *analysis) exhaustedReason() string {
+	if a.cfg.GlobalSteps-a.stepsRem.Load()-a.stepsHeld.Load() <= 0 {
+		return "global budget fully reserved by this round's queries"
+	}
+	return "global budget exhausted"
+}
 
 // solveSeq runs one SMT query synchronously against the global budget (the
 // sequential path used by the monolithic baseline), with the same panic
@@ -581,7 +608,7 @@ func (a *analysis) solveSeq(p *smt.Problem, target int) smt.Outcome {
 	}
 	build := func() *smt.Problem { return p }
 	out, panicked := a.runQuery(build, target, len(p.Eqs)/2, true, grant, a.querySeed(target))
-	a.refund(grant - out.Steps)
+	a.settle(grant, out.Steps)
 	if panicked {
 		out = a.retryOnce(build, target, len(p.Eqs)/2, true, out)
 	}
@@ -646,10 +673,10 @@ func (a *analysis) runFull() {
 		a.cRounds.Inc()
 		rs := a.cfg.Obs.Start(a.span, "core.round",
 			obs.KV("round", round), obs.KV("tasks", len(tasks)))
-		a.runRound(tasks, snap)
-		// Account the whole round before folding it: a confirmed
-		// counterexample below returns early, and the work the later tasks
-		// already did must still reach Stats.
+		// runRound drops the tasks past the round's confirmed counterexample,
+		// if any. Account the rest before folding: the confirm below returns
+		// early, and the work of UNSAT tasks ahead of it must still reach Stats.
+		tasks = a.runRound(tasks, snap)
 		for _, t := range tasks {
 			a.accountTask(t)
 		}
@@ -663,7 +690,7 @@ func (a *analysis) runFull() {
 			// non-uniqueness of t.sig; for outputs that ends the analysis.
 			if t.out.Status == smt.StatusSat && t.full {
 				if a.sys.Signal(t.sig).Kind == r1cs.KindOutput {
-					if a.confirmCounterexample(t.sig, t.out.Model) {
+					if a.confirmCounterexample(t.sig, t.out.Model, snap.IsUnique) {
 						rs.End(obs.KV("new_unique", a.prop.NumUnique()-before), obs.KV("confirmed", true))
 						return
 					}
@@ -729,7 +756,7 @@ func (a *analysis) finalOutputsStage() {
 			return
 		}
 		round++
-		a.runRound(tasks, snap)
+		tasks = a.runRound(tasks, snap)
 		for _, t := range tasks { // accounted before folding, as in runFull
 			a.accountTask(t)
 		}
@@ -739,7 +766,7 @@ func (a *analysis) finalOutputsStage() {
 			case smt.StatusUnsat:
 				a.prop.AddUniqueExternal(t.sig)
 			case smt.StatusSat:
-				if a.confirmCounterexample(t.sig, t.out.Model) {
+				if a.confirmCounterexample(t.sig, t.out.Model, snap.IsUnique) {
 					return
 				}
 				// Deterministic internal inconsistency, not a transient
@@ -799,7 +826,7 @@ func (a *analysis) runSMTOnly() {
 		case smt.StatusUnsat:
 			// output unique
 		case smt.StatusSat:
-			if a.confirmCounterexample(o, out.Model) {
+			if a.confirmCounterexample(o, out.Model, func(v int) bool { return shared[v] }) {
 				return
 			}
 			safe = false
@@ -824,30 +851,30 @@ func (a *analysis) runSMTOnly() {
 
 // confirmCounterexample turns a SAT model of a full-circuit query into a
 // checked witness pair; it returns true (and finalizes the report) only if
-// both witnesses satisfy every constraint, agree on the inputs, and differ
-// on the target output.
-func (a *analysis) confirmCounterexample(target int, model smt.Model) bool {
+// checkWitnessPair accepts the model. sharedOf must be the sharing the
+// query was built with — the round snapshot's IsUnique for slice rounds —
+// so the barrier confirm and the worker's early check can never disagree.
+func (a *analysis) confirmCounterexample(target int, model smt.Model, sharedOf func(int) bool) bool {
 	a.cConfirmAttempt.Inc()
 	cs := a.cfg.Obs.Start(a.span, "core.confirm", obs.KV("sig", target))
-	ok := a.confirmWitnessPair(target, model)
+	w1, w2, ok := a.checkWitnessPair(target, model, sharedOf)
 	if ok {
 		a.cConfirmOK.Inc()
+		a.report.Verdict = VerdictUnsafe
+		a.report.Counter = &CounterExample{W1: w1, W2: w2, Signal: target}
 	}
 	cs.End(obs.KV("ok", ok))
 	return ok
 }
 
-// confirmWitnessPair does the checking behind confirmCounterexample.
-func (a *analysis) confirmWitnessPair(target int, model smt.Model) bool {
+// checkWitnessPair reads the two witnesses out of a two-copy model (shared
+// signals take the unprimed variable in both) and reports whether both
+// satisfy every constraint, agree on the inputs, and differ on target. It
+// has no side effects, so query workers may call it concurrently.
+func (a *analysis) checkWitnessPair(target int, model smt.Model, sharedOf func(int) bool) (w1, w2 r1cs.Witness, ok bool) {
 	n := a.sys.NumSignals()
-	w1 := a.sys.NewWitness()
-	w2 := a.sys.NewWitness()
-	sharedOf := func(v int) bool {
-		if a.prop != nil {
-			return a.prop.IsUnique(v)
-		}
-		return v == r1cs.OneID || a.sys.Signal(v).Kind == r1cs.KindInput
-	}
+	w1 = a.sys.NewWitness()
+	w2 = a.sys.NewWitness()
 	for id := 1; id < n; id++ {
 		w1[id] = model.Eval(id)
 		if sharedOf(id) {
@@ -856,19 +883,9 @@ func (a *analysis) confirmWitnessPair(target int, model smt.Model) bool {
 			w2[id] = model.Eval(id + n)
 		}
 	}
-	if err := a.sys.CheckWitness(w1); err != nil {
-		return false
-	}
-	if err := a.sys.CheckWitness(w2); err != nil {
-		return false
-	}
-	if !r1cs.AgreeOn(w1, w2, a.sys.Inputs()) {
-		return false
-	}
-	if w1[target] == w2[target] {
-		return false
-	}
-	a.report.Verdict = VerdictUnsafe
-	a.report.Counter = &CounterExample{W1: w1, W2: w2, Signal: target}
-	return true
+	ok = a.sys.CheckWitness(w1) == nil &&
+		a.sys.CheckWitness(w2) == nil &&
+		r1cs.AgreeOn(w1, w2, a.sys.Inputs()) &&
+		w1[target] != w2[target]
+	return w1, w2, ok
 }

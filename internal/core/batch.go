@@ -193,7 +193,7 @@ func (a *analysis) formGroups(pending []*queryTask) []*batchGroup {
 		}
 		g.grant = a.reserveN(want)
 		if g.grant <= 0 {
-			g.markFallback("global budget exhausted before base preparation")
+			g.markFallback(a.exhaustedReason() + " before base preparation")
 		}
 	}
 	return groups
@@ -317,7 +317,7 @@ func (a *analysis) accountGroup(g *batchGroup) {
 		if g.sess != nil {
 			delta = g.sess.BaseSteps() - g.stepsBefore
 		}
-		a.refund(g.grant - delta)
+		a.settle(g.grant, delta)
 		a.report.Stats.SolverSteps += delta
 		a.report.Stats.IncrementalBaseSteps += delta
 		switch {

@@ -50,17 +50,22 @@ func TestReserveRefundExactAccounting(t *testing.T) {
 	if got := a.reserve(); got != 0 {
 		t.Fatalf("reserve on empty pool = %d, want 0", got)
 	}
-	a.refund(30)
+	a.settle(100, 70)
 	if got := a.reserveN(20); got != 20 {
 		t.Fatalf("reserveN(20) after refund = %d, want 20", got)
 	}
 	if got := a.stepsRem.Load(); got != 10 {
 		t.Fatalf("stepsRem = %d, want 10 (250-100-100-50+30-20)", got)
 	}
-	// A negative refund models the one-step overshoot of a final step check.
-	a.refund(-1)
+	// Using one step more than the grant models the overshoot of a final
+	// step check.
+	a.settle(20, 21)
 	if got := a.stepsRem.Load(); got != 9 {
 		t.Fatalf("stepsRem after overshoot refund = %d, want 9", got)
+	}
+	// Two grants (100 + 50) are still open.
+	if got := a.stepsHeld.Load(); got != 150 {
+		t.Fatalf("stepsHeld = %d, want 150 (250-100+20-20)", got)
 	}
 }
 
@@ -210,7 +215,7 @@ component main = Mul();
 
 	grant := a.reserve()
 	out, panicked := a.runQuery(build, target, len(allCons), true, grant, a.querySeed(target))
-	a.refund(grant - out.Steps)
+	a.settle(grant, out.Steps)
 	if !panicked {
 		t.Fatal("first attempt did not report the panic")
 	}

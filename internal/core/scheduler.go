@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 
 	"qed2/internal/faultinject"
 	"qed2/internal/obs"
+	"qed2/internal/r1cs"
 	"qed2/internal/smt"
 	"qed2/internal/uniq"
 )
@@ -21,16 +23,20 @@ import (
 // signal; queries of one round are independent (they all read the same
 // uniqueness snapshot), so they are dispatched to a pool of Config.Workers
 // goroutines and their results are applied at a barrier in canonical signal
-// order. Three properties keep the analysis deterministic for any worker
+// order. Four properties keep the analysis deterministic for any worker
 // count:
 //
 //  1. solver seeds derive from the target signal ID, not from a global
 //     query sequence number that would depend on completion order;
 //  2. the shared global step budget is reserved per query at dispatch time,
-//     sequentially in canonical order, and unused steps are refunded at the
-//     barrier — so which query gets how much budget never depends on timing;
-//  3. uniqueness facts, counterexample confirmations and statistics are
-//     folded in sequentially at the barrier.
+//     sequentially in canonical order (the worker settles each grant right
+//     after its query) — so which query gets how much budget never depends
+//     on timing;
+//  3. a round stops at its cutoff, the lowest task whose outcome ends the
+//     analysis (roundCutoff); every task up to it runs to completion, so the
+//     cutoff does not depend on timing either;
+//  4. uniqueness facts, counterexample confirmations and statistics are
+//     folded in sequentially at the barrier, for the tasks up to the cutoff.
 //
 // The only nondeterminism left is the wall-clock deadline: a timeout can cut
 // different queries short on different runs, which is inherent to wall-clock
@@ -50,7 +56,8 @@ type queryTask struct {
 	// budget is the reserved solver-step grant.
 	budget int64
 	// ran reports whether the solver was actually invoked (false for cache
-	// hits and for tasks skipped on budget or deadline exhaustion).
+	// hits and for tasks skipped on budget, deadline exhaustion, or the
+	// round's cutoff).
 	ran bool
 	// cached reports whether out came from the memo cache.
 	cached bool
@@ -131,7 +138,7 @@ func (a *analysis) admit(t *queryTask, sigs []int, snap *uniq.Snapshot) {
 	}
 	t.budget = a.reserve()
 	if t.budget <= 0 {
-		t.out = smt.Outcome{Status: smt.StatusUnknown, Reason: "global budget exhausted"}
+		t.out = smt.Outcome{Status: smt.StatusUnknown, Reason: a.exhaustedReason()}
 		return
 	}
 	t.key = key
@@ -178,17 +185,17 @@ func outcomeDegradation(out smt.Outcome) Degradation {
 // verdict to unknown: safe needs a sound UNSAT proof and unsafe needs a
 // checked counterexample, neither of which a crashed attempt can produce.
 func (a *analysis) runQuery(build func() *smt.Problem, sig, consLen int, full bool, grant, seed int64) (out smt.Outcome, panicked bool) {
-	return a.runQueryVia(func(o *smt.Options) smt.Outcome {
+	return a.runQueryVia(a.ctx, func(o *smt.Options) smt.Outcome {
 		return smt.Solve(build(), o)
 	}, sig, consLen, full, grant, seed)
 }
 
-// runQueryVia is runQuery generalized over the solving strategy: the
-// closure receives the fully-assembled solver options and may answer
-// from-scratch (smt.Solve) or as an incremental-session continuation. The
-// fault boundary, span bracketing and fault-injection check are identical
-// either way.
-func (a *analysis) runQueryVia(solve func(o *smt.Options) smt.Outcome, sig, consLen int, full bool, grant, seed int64) (out smt.Outcome, panicked bool) {
+// runQueryVia is runQuery generalized over the solving strategy and the
+// cancellation context: the closure receives the fully-assembled solver
+// options and may answer from-scratch (smt.Solve) or as an
+// incremental-session continuation. The fault boundary, span bracketing and
+// fault-injection check are identical either way.
+func (a *analysis) runQueryVia(ctx context.Context, solve func(o *smt.Options) smt.Outcome, sig, consLen int, full bool, grant, seed int64) (out smt.Outcome, panicked bool) {
 	qs := a.cfg.Obs.Start(a.span, "core.query",
 		obs.KV("sig", sig), obs.KV("cons", consLen), obs.KV("full", full))
 	defer func() {
@@ -211,7 +218,7 @@ func (a *analysis) runQueryVia(solve func(o *smt.Options) smt.Outcome, sig, cons
 		MaxSteps: grant,
 		Seed:     seed,
 		Deadline: a.deadline,
-		Ctx:      a.ctx,
+		Ctx:      ctx,
 		Obs:      a.cfg.Obs,
 		Parent:   qs,
 		Metrics:  a.cfg.Metrics,
@@ -253,7 +260,7 @@ func (a *analysis) retryOnce(build func() *smt.Problem, sig, consLen int, full b
 	a.nRetries.Add(1)
 	a.cRetries.Inc()
 	out, panicked := a.runQuery(build, sig, consLen, full, grant, a.querySeed(sig)^retrySeedPerturb)
-	a.refund(grant - out.Steps)
+	a.settle(grant, out.Steps)
 	if panicked {
 		return quarantined
 	}
@@ -274,13 +281,92 @@ func (a *analysis) retryQuarantined(pending []*queryTask, snap *uniq.Snapshot) {
 	}
 }
 
-// runRound solves every admitted task on the worker pool and blocks until
-// the round is complete. Workers only read immutable state (the system, the
+// afterCounterexample is the core.query.skipped reason of tasks past the
+// round's cutoff.
+const afterCounterexample = "after-counterexample"
+
+// roundCutoff is the deterministic early exit of one round: the lowest
+// index into the round's pending tasks whose outcome ends the analysis (see
+// endsAnalysis). The index only ever moves down. Workers never start a task
+// past it and abort the ones already running through their own cancel;
+// every task at or below it runs to completion with the grant and seed it
+// got at admission, so the final cutoff is the same for any worker count.
+type roundCutoff struct {
+	idx atomic.Int64 // len(pending) while no task has ended the analysis
+
+	mu      sync.Mutex
+	running map[int]context.CancelFunc // in-flight tasks by pending index
+}
+
+func newRoundCutoff(n int) *roundCutoff {
+	c := &roundCutoff{running: map[int]context.CancelFunc{}}
+	c.idx.Store(int64(n))
+	return c
+}
+
+// begin registers task i as running and returns the context its solve
+// runs under, or false when i lies past the cutoff and must not start.
+func (c *roundCutoff) begin(parent context.Context, i int) (context.Context, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if int64(i) > c.idx.Load() {
+		return nil, false
+	}
+	ctx, cancel := context.WithCancel(parent)
+	c.running[i] = cancel
+	return ctx, true
+}
+
+// end unregisters task i and releases its context.
+func (c *roundCutoff) end(i int) {
+	c.mu.Lock()
+	cancel := c.running[i]
+	delete(c.running, i)
+	c.mu.Unlock()
+	cancel()
+}
+
+// lower moves the cutoff down to i (a CAS-min) and cancels every running
+// task past it; their solves unwind at the next context poll. A task that
+// registers after the CAS sees the new cutoff in begin, so none slips past.
+func (c *roundCutoff) lower(i int) {
+	cur := c.idx.Load()
+	for int64(i) < cur && !c.idx.CompareAndSwap(cur, int64(i)) {
+		cur = c.idx.Load()
+	}
+	if int64(i) >= cur {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for j, cancel := range c.running {
+		if j > i {
+			cancel()
+		}
+	}
+}
+
+// endsAnalysis reports whether a finished task decides the circuit unsafe:
+// a full-circuit SAT answer on an output whose model is a checked witness
+// pair under the round's sharing. The barrier confirms with the same
+// snapshot predicate, so it accepts exactly the tasks this accepts.
+func (a *analysis) endsAnalysis(t *queryTask, snap *uniq.Snapshot) bool {
+	if !t.full || t.out.Status != smt.StatusSat || a.sys.Signal(t.sig).Kind != r1cs.KindOutput {
+		return false
+	}
+	_, _, ok := a.checkWitnessPair(t.sig, t.out.Model, snap.IsUnique)
+	return ok
+}
+
+// runRound solves the admitted tasks on the worker pool and blocks until
+// the round is complete, returning the prefix of tasks the barrier folds:
+// all of them, or those up to and including the round's cutoff task (see
+// roundCutoff). Workers only read immutable state (the system, the
 // snapshot) plus the atomic budget; all mutable analysis state is folded in
 // afterwards by the caller. Each query runs inside runQuery's panic
-// boundary; quarantined tasks get one reduced-budget retry after the
-// barrier.
-func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) {
+// boundary; quarantined tasks up to the cutoff get one reduced-budget retry
+// after the barrier.
+func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) []*queryTask {
 	var pending []*queryTask
 	for _, t := range tasks {
 		if !t.cached && t.budget > 0 {
@@ -288,7 +374,7 @@ func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) {
 		}
 	}
 	if len(pending) == 0 {
-		return
+		return tasks
 	}
 	groups := a.formGroups(pending)
 	a.prepareGroups(groups, snap)
@@ -296,6 +382,7 @@ func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) {
 	if workers > len(pending) {
 		workers = len(pending)
 	}
+	cut := newRoundCutoff(len(pending))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -309,20 +396,20 @@ func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) {
 				}
 				t := pending[i]
 				if a.ctx.Err() != nil {
-					a.refund(t.budget)
-					t.out = smt.Outcome{Status: smt.StatusUnknown, Reason: smt.Canceled}
-					a.cfg.Obs.Event(a.span, "core.query.skipped",
-						obs.KV("sig", t.sig), obs.KV("reason", smt.Canceled))
+					a.skip(t, smt.Canceled)
 					continue
 				}
 				if !a.deadline.IsZero() && !time.Now().Before(a.deadline) {
-					a.refund(t.budget)
-					t.out = smt.Outcome{Status: smt.StatusUnknown, Reason: smt.DeadlineExceeded}
-					a.cfg.Obs.Event(a.span, "core.query.skipped",
-						obs.KV("sig", t.sig), obs.KV("reason", smt.DeadlineExceeded))
+					a.skip(t, smt.DeadlineExceeded)
 					continue
 				}
-				t.out, t.panicked = a.runQueryVia(func(o *smt.Options) smt.Outcome {
+				ctx, ok := cut.begin(a.ctx, i)
+				if !ok {
+					a.cCutoffSkipped.Inc()
+					a.skip(t, afterCounterexample)
+					continue
+				}
+				t.out, t.panicked = a.runQueryVia(ctx, func(o *smt.Options) smt.Outcome {
 					if g := t.grp; g != nil && g.usable() {
 						t.inc = true
 						return a.solveIncremental(g, t, o)
@@ -333,13 +420,49 @@ func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) {
 					}
 					return smt.Solve(p, o)
 				}, t.sig, len(t.cons), t.full, t.budget, a.querySeed(t.sig))
+				cut.end(i)
 				t.ran = true
-				a.refund(t.budget - t.out.Steps)
+				a.settle(t.budget, t.out.Steps)
+				if a.endsAnalysis(t, snap) {
+					cut.lower(i)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	if c := int(cut.idx.Load()); c < len(pending) {
+		for _, t := range pending[c+1:] {
+			if !t.ran {
+				continue
+			}
+			// Started before the cutoff was known (Workers > 1 only):
+			// aborted or finished, its result is discarded. Its steps go back
+			// to the pool so the budget left for the barrier retries is what
+			// a run stopping at the cutoff would leave.
+			a.stepsRem.Add(t.out.Steps)
+			a.cAbandoned.Inc()
+			a.cfg.Obs.Event(a.span, "core.query.abandoned",
+				obs.KV("sig", t.sig), obs.KV("steps", t.out.Steps))
+		}
+		last := pending[c]
+		pending = pending[:c+1]
+		for k, t := range tasks {
+			if t == last {
+				tasks = tasks[:k+1]
+				break
+			}
+		}
+	}
 	a.retryQuarantined(pending, snap)
+	return tasks
+}
+
+// skip records a pending task that never reaches the solver: its grant
+// returns to the pool in full and ran stays false.
+func (a *analysis) skip(t *queryTask, reason string) {
+	a.settle(t.budget, 0)
+	t.out = smt.Outcome{Status: smt.StatusUnknown, Reason: reason}
+	a.cfg.Obs.Event(a.span, "core.query.skipped", obs.KV("sig", t.sig), obs.KV("reason", reason))
 }
 
 // accountTask folds one completed task into the statistics and the memo
