@@ -81,6 +81,43 @@ func BenchmarkFFOps(b *testing.B) {
 	}
 }
 
+// BenchmarkSqrt measures Sqrt on a quadratic residue and a non-residue, over
+// BN254 (p ≡ 1 mod 2^28, the deep Tonelli–Shanks case) and F_1009.
+func BenchmarkSqrt(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		f    *Field
+	}{
+		{"BN254", BN254()},
+		{"F1009", MustField(big.NewInt(1009))},
+	} {
+		f := tc.f
+		rng := rand.New(rand.NewSource(42))
+		var residue, nonResidue Element
+		for residue.IsZero() || nonResidue.IsZero() {
+			a := f.RandFrom(rng)
+			switch f.Legendre(a) {
+			case 1:
+				residue = a
+			case -1:
+				nonResidue = a
+			}
+		}
+		b.Run(tc.name+"/residue", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkElt, _ = f.Sqrt(residue)
+			}
+		})
+		b.Run(tc.name+"/non-residue", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkElt, _ = f.Sqrt(nonResidue)
+			}
+		})
+	}
+}
+
 var (
 	sinkElt Element
 	sinkBig *big.Int

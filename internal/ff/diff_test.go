@@ -280,6 +280,98 @@ func TestElementDifferentialSqrtLegendre(t *testing.T) {
 	}
 }
 
+// refSqrt is a reference Tonelli–Shanks square root that derives all its
+// constants on every call: a Legendre test, the direct a^((p+1)/4) for
+// p ≡ 3 (mod 4), and otherwise a search for the least non-residue. The
+// solver branches on the root Sqrt returns, so Sqrt must choose exactly
+// this one.
+func refSqrt(f *Field, a Element) (Element, bool) {
+	if a.IsZero() {
+		return Element{}, true
+	}
+	if f.Legendre(a) != 1 {
+		return Element{}, false
+	}
+	p := f.Modulus()
+	one := big.NewInt(1)
+	if p.Bit(0) == 1 && p.Bit(1) == 1 {
+		e := new(big.Int).Add(p, one)
+		return f.Exp(a, e.Rsh(e, 2)), true
+	}
+	q := new(big.Int).Sub(p, one)
+	s := 0
+	for q.Bit(0) == 0 {
+		q.Rsh(q, 1)
+		s++
+	}
+	zi := int64(2)
+	for f.Legendre(f.NewElement(zi)) != -1 {
+		zi++
+	}
+	m := s
+	c := f.Exp(f.NewElement(zi), q)
+	t := f.Exp(a, q)
+	r := f.Exp(a, new(big.Int).Rsh(new(big.Int).Add(q, one), 1))
+	for t != f.One() {
+		i := 0
+		for t2 := t; t2 != f.One(); i++ {
+			t2 = f.Square(t2)
+		}
+		b := c
+		for j := 0; j < m-i-1; j++ {
+			b = f.Square(b)
+		}
+		m = i
+		c = f.Square(b)
+		t = f.Mul(t, c)
+		r = f.Mul(r, b)
+	}
+	return r, true
+}
+
+// TestSqrtMatchesReference pins the exact root Sqrt returns, not only its
+// value up to sign: every element of small fields of both shapes (p ≡ 1 and
+// p ≡ 3 mod 4), the edge values of every differential field, and seeded
+// random BN254 elements. Non-residues must return (0, false).
+func TestSqrtMatchesReference(t *testing.T) {
+	check := func(f *Field, a Element) {
+		t.Helper()
+		got, ok := f.Sqrt(a)
+		want, wantOK := refSqrt(f, a)
+		if ok != wantOK || got != want {
+			t.Fatalf("%s: Sqrt(%s) = (%s, %v), want (%s, %v)",
+				f.Name(), f.String(a), f.String(got), ok, f.String(want), wantOK)
+		}
+		if !ok && got != (Element{}) {
+			t.Fatalf("%s: Sqrt(%s) of a non-residue returned %s", f.Name(), f.String(a), f.String(got))
+		}
+	}
+	for _, p := range []int64{13, 97, 103, 65537} { // 103 ≡ 3 (mod 4)
+		f := MustField(big.NewInt(p))
+		for v := int64(0); v < p; v++ {
+			check(f, f.NewElement(v))
+		}
+	}
+	for _, f := range diffFields(t) {
+		for _, v := range edgeValues(f) {
+			check(f, f.FromBig(f.Reduce(v)))
+		}
+	}
+	f := BN254()
+	rng := rand.New(rand.NewSource(0x5127))
+	residues := 0
+	for i := 0; i < 1200; i++ {
+		a := f.RandFrom(rng)
+		if f.Legendre(a) == 1 {
+			residues++
+		}
+		check(f, a)
+	}
+	if residues < 400 || residues > 800 {
+		t.Fatalf("BN254: %d of 1200 random elements are residues; the sample is skewed", residues)
+	}
+}
+
 // TestFieldCache pins the satellite fix: constructing the same field twice
 // returns the identical cached instance and skips the repeated primality
 // check (observable as identity, and as large-N construction being cheap).

@@ -41,6 +41,12 @@ type Field struct {
 	pInv    uint64  // -p⁻¹ mod 2^64
 	rSquare Element // R² mod p (plain limbs), for conversion into Montgomery form
 	one     Element // the multiplicative identity in the element representation
+
+	// Tonelli–Shanks constants for Sqrt: p−1 = q·2^tsS with q odd,
+	// tsExp = (q−1)/2, and tsC = z^q for the least quadratic non-residue z.
+	tsS   int
+	tsExp *big.Int
+	tsC   Element
 }
 
 // ErrNotPrime is returned by NewField when the modulus fails the primality test.
@@ -102,6 +108,7 @@ func NewField(p *big.Int) (*Field, error) {
 		r := new(big.Int).Lsh(big.NewInt(1), MaxModulusBits)
 		f.one = limbsFromBig(r.Mod(r, f.p))
 	}
+	f.initSqrt()
 	f.name = fmt.Sprintf("F_%s", shortModulus(f.p))
 	fieldCacheMu.Lock()
 	if prior, ok := fieldCache[key]; ok {

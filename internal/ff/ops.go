@@ -307,8 +307,6 @@ func (f *Field) IsZero(a Element) bool { return a.IsZero() }
 // IsOne reports a ≡ 1.
 func (f *Field) IsOne(a Element) bool { return a == f.one }
 
-var oneInt = big.NewInt(1)
-
 // Signed returns the plain representative of a in (-(p-1)/2, (p-1)/2], the
 // conventional "signed" reading of field elements used in diagnostics
 // (e.g. printing -1 instead of p-1).
@@ -428,50 +426,47 @@ func (f *Field) Legendre(a Element) int {
 	return -1
 }
 
+// initSqrt computes the Tonelli–Shanks constants of a new field: the
+// 2-adic split p−1 = q·2^s, the exponent (q−1)/2 and c = z^q for the least
+// quadratic non-residue z ≥ 2.
+func (f *Field) initSqrt() {
+	q := new(big.Int).Set(f.pMinus1)
+	for q.Bit(0) == 0 {
+		q.Rsh(q, 1)
+		f.tsS++
+	}
+	f.tsExp = new(big.Int).Rsh(q, 1)
+	z := int64(2)
+	for f.Legendre(f.NewElement(z)) != -1 {
+		z++
+	}
+	f.tsC = f.Exp(f.NewElement(z), q)
+}
+
 // Sqrt returns a square root of a if one exists (Tonelli–Shanks), together
 // with true; otherwise the zero Element and false. For a ≡ 0 it returns
 // 0, true. The chosen root is deterministic: callers branch the solver
-// search on it, so it must not vary between runs or representations.
+// search on it, so it must not vary between runs or representations. It
+// starts from r = a^((q+1)/2) and t = a^q, which for p ≡ 3 (mod 4) makes r
+// the direct root a^((p+1)/4).
 func (f *Field) Sqrt(a Element) (Element, bool) {
 	if a.IsZero() {
 		return Element{}, true
 	}
-	if f.Legendre(a) != 1 {
-		return Element{}, false
-	}
-	// p ≡ 3 (mod 4): direct exponentiation.
-	if f.p.Bit(0) == 1 && f.p.Bit(1) == 1 {
-		e := new(big.Int).Add(f.p, oneInt)
-		e.Rsh(e, 2)
-		return f.Exp(a, e), true
-	}
-	// Tonelli–Shanks. Write p-1 = q·2^s with q odd.
-	q := new(big.Int).Set(f.pMinus1)
-	s := 0
-	for q.Bit(0) == 0 {
-		q.Rsh(q, 1)
-		s++
-	}
-	// Find a quadratic non-residue z.
-	zi := int64(2)
-	z := f.NewElement(zi)
-	for f.Legendre(z) != -1 {
-		zi++
-		z = f.NewElement(zi)
-	}
-	m := s
-	c := f.Exp(z, q)
-	t := f.Exp(a, q)
-	r := f.Exp(a, new(big.Int).Rsh(new(big.Int).Add(q, oneInt), 1))
+	w := f.Exp(a, f.tsExp) // a^((q−1)/2)
+	r := f.Mul(a, w)       // a^((q+1)/2)
+	t := f.Mul(r, w)       // a^q
+	m, c := f.tsS, f.tsC
 	for t != f.one {
-		// Find least i in (0, m) with t^(2^i) == 1.
+		// Find least i in (0, m) with t^(2^i) == 1. For a non-residue t has
+		// order exactly 2^m, so the search runs out on the first pass.
 		i := 0
 		t2 := t
 		for t2 != f.one {
 			t2 = f.Square(t2)
 			i++
 			if i == m {
-				return Element{}, false // unreachable for residues; defensive
+				return Element{}, false
 			}
 		}
 		b := c

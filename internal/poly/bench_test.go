@@ -27,21 +27,25 @@ func BenchmarkPolySubst(b *testing.B) {
 	val := f.RandFrom(rng)
 
 	b.Run("lincomb-substitute", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkLC = a.Substitute(3, repl)
 		}
 	})
 	b.Run("lincomb-substitute-value", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkLC = a.SubstituteValue(3, val)
 		}
 	})
 	b.Run("quad-substitute-value", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkQuad = q.SubstituteValue(3, val)
 		}
 	})
 	b.Run("quad-eval", func(b *testing.B) {
+		b.ReportAllocs()
 		m := map[int]ff.Element{}
 		for v := 0; v < nVars; v++ {
 			m[v] = f.RandFrom(rng)
@@ -51,11 +55,13 @@ func BenchmarkPolySubst(b *testing.B) {
 		}
 	})
 	b.Run("mullin", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkQuad = MulLin(a, c)
 		}
 	})
 	b.Run("key", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkString = q.Key()
 		}

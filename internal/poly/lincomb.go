@@ -14,35 +14,41 @@
 package poly
 
 import (
+	"cmp"
 	"fmt"
 	"math/big" //qed2:allow-mathbig — rendering and signed-magnitude display only
-	"sort"
+	"slices"
 	"strings"
 
 	"qed2/internal/ff"
 )
 
 // LinComb is a sparse linear combination  c₀ + Σᵢ cᵢ·xᵢ  with coefficients
-// in F_p. The zero coefficient is never stored. LinComb values are mutable;
-// operations return new values and never mutate their receivers unless the
-// method name says so (the *InPlace variants).
+// in F_p. The terms are kept in a slice sorted by variable, and a zero
+// coefficient is never stored, so every combination has exactly one
+// representation.
+//
+// A LinComb is immutable once built. Operations return a new value or, when
+// nothing changes, the receiver itself, and results may share their term
+// slice with an operand; no code writes to a value it got back from an
+// operation.
 type LinComb struct {
 	f     *ff.Field
-	konst ff.Element         // constant term
-	terms map[int]ff.Element // var → nonzero coefficient
+	konst ff.Element // constant term
+	terms []term     // ascending by variable, nonzero coefficients only
+}
+
+// term is one monomial c·x of a LinComb.
+type term struct {
+	v int
+	c ff.Element
 }
 
 // NewLinComb returns the zero linear combination over field f.
-func NewLinComb(f *ff.Field) *LinComb {
-	return &LinComb{f: f, terms: map[int]ff.Element{}}
-}
+func NewLinComb(f *ff.Field) *LinComb { return &LinComb{f: f} }
 
 // Const returns the constant linear combination v.
-func Const(f *ff.Field, v ff.Element) *LinComb {
-	lc := NewLinComb(f)
-	lc.konst = v
-	return lc
-}
+func Const(f *ff.Field, v ff.Element) *LinComb { return &LinComb{f: f, konst: v} }
 
 // ConstBig returns the constant linear combination for a *big.Int, reduced
 // into the field. Parse/deserialize boundary helper.
@@ -53,67 +59,55 @@ func ConstInt(f *ff.Field, v int64) *LinComb { return Const(f, f.NewElement(v)) 
 
 // Var returns the linear combination consisting of the single variable x
 // with coefficient 1.
-func Var(f *ff.Field, x int) *LinComb {
-	lc := NewLinComb(f)
-	lc.terms[x] = f.One()
-	return lc
-}
+func Var(f *ff.Field, x int) *LinComb { return Term(f, x, f.One()) }
 
 // Term returns the linear combination coeff·x.
 func Term(f *ff.Field, x int, coeff ff.Element) *LinComb {
-	lc := NewLinComb(f)
-	if !coeff.IsZero() {
-		lc.terms[x] = coeff
+	if coeff.IsZero() {
+		return NewLinComb(f)
 	}
-	return lc
+	return &LinComb{f: f, terms: []term{{x, coeff}}}
 }
 
 // Field returns the coefficient field.
 func (lc *LinComb) Field() *ff.Field { return lc.f }
 
-// Clone returns a deep copy.
-func (lc *LinComb) Clone() *LinComb {
-	out := &LinComb{f: lc.f, konst: lc.konst, terms: make(map[int]ff.Element, len(lc.terms))}
-	for v, c := range lc.terms {
-		out.terms[v] = c
-	}
-	return out
-}
-
 // Constant returns the constant term.
 func (lc *LinComb) Constant() ff.Element { return lc.konst }
 
+// find returns the index of x in lc.terms, or -1 when x is absent.
+func (lc *LinComb) find(x int) int {
+	if i, ok := slices.BinarySearchFunc(lc.terms, x, func(t term, x int) int { return cmp.Compare(t.v, x) }); ok {
+		return i
+	}
+	return -1
+}
+
 // Coeff returns the coefficient of variable x (zero if absent).
-func (lc *LinComb) Coeff(x int) ff.Element { return lc.terms[x] }
+func (lc *LinComb) Coeff(x int) ff.Element {
+	if i := lc.find(x); i >= 0 {
+		return lc.terms[i].c
+	}
+	return ff.Element{}
+}
 
 // NumTerms returns the number of variables with nonzero coefficient.
 func (lc *LinComb) NumTerms() int { return len(lc.terms) }
 
 // Vars returns the variables with nonzero coefficients, in ascending order.
 func (lc *LinComb) Vars() []int {
-	vs := make([]int, 0, len(lc.terms))
-	for v := range lc.terms {
-		vs = append(vs, v)
+	vs := make([]int, len(lc.terms))
+	for i, t := range lc.terms {
+		vs[i] = t.v
 	}
-	sort.Ints(vs)
 	return vs
 }
 
 // VisitTerms calls fn for every (variable, coefficient) pair in ascending
-// variable order.
+// variable order, without allocating.
 func (lc *LinComb) VisitTerms(fn func(x int, coeff ff.Element)) {
-	for _, v := range lc.Vars() {
-		fn(v, lc.terms[v])
-	}
-}
-
-// VisitTermsUnordered calls fn for every (variable, coefficient) pair in
-// unspecified order. Unlike VisitTerms it neither sorts nor allocates, so
-// it is safe in hot paths as long as the caller folds the visits with an
-// order-independent operation (a multiset hash, a minimum, a sum).
-func (lc *LinComb) VisitTermsUnordered(fn func(x int, coeff ff.Element)) {
-	for v, c := range lc.terms {
-		fn(v, c)
+	for _, t := range lc.terms {
+		fn(t.v, t.c)
 	}
 }
 
@@ -129,76 +123,108 @@ func (lc *LinComb) IsSingleVar() (x int, ok bool) {
 	if len(lc.terms) != 1 {
 		return 0, false
 	}
-	for v := range lc.terms {
-		return v, true
-	}
-	return 0, false // unreachable
+	return lc.terms[0].v, true
 }
 
-// setCoeff installs coeff for x, deleting the entry when zero.
-func (lc *LinComb) setCoeff(x int, coeff ff.Element) {
-	if coeff.IsZero() {
-		delete(lc.terms, x)
-	} else {
-		lc.terms[x] = coeff
+// How mergeTerms combines a coefficient c of its second operand.
+const (
+	mergeAdd   = iota // + c
+	mergeSub          // − c
+	mergeScale        // + k·c
+)
+
+// mergeTerms returns the sorted, zero-free sum of a (minus its term at
+// index skip, if skip ≥ 0) and b, with b's coefficients combined as op says.
+func mergeTerms(f *ff.Field, a []term, skip int, b []term, op int, k ff.Element) []term {
+	out := make([]term, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		if i == skip {
+			i++
+			continue
+		}
+		if j == len(b) || (i < len(a) && a[i].v < b[j].v) {
+			out = append(out, a[i])
+			i++
+			continue
+		}
+		c := b[j].c
+		switch op {
+		case mergeSub:
+			c = f.Neg(c)
+		case mergeScale:
+			c = f.Mul(k, c)
+		}
+		if i < len(a) && a[i].v == b[j].v {
+			c = f.Add(a[i].c, c)
+			i++
+		}
+		if !c.IsZero() {
+			out = append(out, term{b[j].v, c})
+		}
+		j++
 	}
+	return out
+}
+
+// scaleTerms returns k·t for a nonzero k (a field has no zero divisors, so
+// no product vanishes).
+func scaleTerms(f *ff.Field, t []term, k ff.Element) []term {
+	out := make([]term, len(t))
+	for i, x := range t {
+		out[i] = term{x.v, f.Mul(x.c, k)}
+	}
+	return out
 }
 
 // Add returns lc + other.
 func (lc *LinComb) Add(other *LinComb) *LinComb {
-	out := lc.Clone()
-	out.konst = lc.f.Add(out.konst, other.konst)
-	for v, c := range other.terms {
-		out.setCoeff(v, lc.f.Add(out.terms[v], c))
+	terms := lc.terms
+	switch {
+	case len(other.terms) == 0:
+	case len(lc.terms) == 0:
+		terms = other.terms
+	default:
+		terms = mergeTerms(lc.f, lc.terms, -1, other.terms, mergeAdd, ff.Element{})
 	}
-	return out
+	return &LinComb{f: lc.f, konst: lc.f.Add(lc.konst, other.konst), terms: terms}
 }
 
 // Sub returns lc - other.
 func (lc *LinComb) Sub(other *LinComb) *LinComb {
-	out := lc.Clone()
-	out.konst = lc.f.Sub(out.konst, other.konst)
-	for v, c := range other.terms {
-		out.setCoeff(v, lc.f.Sub(out.terms[v], c))
+	terms := lc.terms
+	if len(other.terms) > 0 {
+		terms = mergeTerms(lc.f, lc.terms, -1, other.terms, mergeSub, ff.Element{})
 	}
-	return out
+	return &LinComb{f: lc.f, konst: lc.f.Sub(lc.konst, other.konst), terms: terms}
 }
 
 // Neg returns -lc.
 func (lc *LinComb) Neg() *LinComb {
-	out := NewLinComb(lc.f)
-	out.konst = lc.f.Neg(lc.konst)
-	for v, c := range lc.terms {
-		out.terms[v] = lc.f.Neg(c)
+	out := &LinComb{f: lc.f, konst: lc.f.Neg(lc.konst), terms: make([]term, len(lc.terms))}
+	for i, t := range lc.terms {
+		out.terms[i] = term{t.v, lc.f.Neg(t.c)}
 	}
 	return out
 }
 
 // Scale returns k·lc for a field constant k.
 func (lc *LinComb) Scale(k ff.Element) *LinComb {
-	out := NewLinComb(lc.f)
 	if k.IsZero() {
-		return out
+		return NewLinComb(lc.f)
 	}
-	out.konst = lc.f.Mul(lc.konst, k)
-	for v, c := range lc.terms {
-		out.terms[v] = lc.f.Mul(c, k)
-	}
-	return out
+	return &LinComb{f: lc.f, konst: lc.f.Mul(lc.konst, k), terms: scaleTerms(lc.f, lc.terms, k)}
 }
 
 // AddTerm returns lc + coeff·x.
 func (lc *LinComb) AddTerm(x int, coeff ff.Element) *LinComb {
-	out := lc.Clone()
-	out.setCoeff(x, lc.f.Add(out.terms[x], coeff))
-	return out
+	return &LinComb{f: lc.f, konst: lc.konst,
+		terms: mergeTerms(lc.f, lc.terms, -1, []term{{x, coeff}}, mergeAdd, ff.Element{})}
 }
 
-// AddConst returns lc + v.
+// AddConst returns lc + v. The result shares lc's terms.
 func (lc *LinComb) AddConst(v ff.Element) *LinComb {
-	out := lc.Clone()
-	out.konst = lc.f.Add(out.konst, v)
-	return out
+	return &LinComb{f: lc.f, konst: lc.f.Add(lc.konst, v), terms: lc.terms}
 }
 
 // Eval evaluates the combination under the assignment fn (variable → value).
@@ -206,8 +232,8 @@ func (lc *LinComb) AddConst(v ff.Element) *LinComb {
 // is allocation-free.
 func (lc *LinComb) Eval(fn func(x int) ff.Element) ff.Element {
 	acc := lc.konst
-	for v, c := range lc.terms {
-		acc = lc.f.Add(acc, lc.f.Mul(c, fn(v)))
+	for _, t := range lc.terms {
+		acc = lc.f.Add(acc, lc.f.Mul(t.c, fn(t.v)))
 	}
 	return acc
 }
@@ -219,42 +245,40 @@ func (lc *LinComb) EvalMap(m map[int]ff.Element) ff.Element {
 }
 
 // SubstituteValue returns lc with variable x replaced by the constant v.
+// When x does not occur it returns lc itself.
 func (lc *LinComb) SubstituteValue(x int, v ff.Element) *LinComb {
-	c, ok := lc.terms[x]
-	if !ok {
-		return lc.Clone()
+	i := lc.find(x)
+	if i < 0 {
+		return lc
 	}
-	out := lc.Clone()
-	delete(out.terms, x)
-	out.konst = lc.f.Add(out.konst, lc.f.Mul(c, v))
-	return out
+	terms := append(append(make([]term, 0, len(lc.terms)-1), lc.terms[:i]...), lc.terms[i+1:]...)
+	return &LinComb{f: lc.f, konst: lc.f.Add(lc.konst, lc.f.Mul(lc.terms[i].c, v)), terms: terms}
 }
 
 // Substitute returns lc with variable x replaced by the linear combination
-// repl (which must not mention x).
+// repl (which must not mention x). When x does not occur it returns lc
+// itself.
 func (lc *LinComb) Substitute(x int, repl *LinComb) *LinComb {
-	c, ok := lc.terms[x]
-	if !ok {
-		return lc.Clone()
+	i := lc.find(x)
+	if i < 0 {
+		return lc
 	}
-	out := lc.Clone()
-	delete(out.terms, x)
-	return out.Add(repl.Scale(c))
+	c := lc.terms[i].c
+	return &LinComb{f: lc.f, konst: lc.f.Add(lc.konst, lc.f.Mul(c, repl.konst)),
+		terms: mergeTerms(lc.f, lc.terms, i, repl.terms, mergeScale, c)}
 }
 
 // SolveFor rewrites the equation lc = 0 as x = expr when the coefficient of
 // x is nonzero, returning expr (which does not mention x). ok is false when
 // x does not occur in lc.
 func (lc *LinComb) SolveFor(x int) (expr *LinComb, ok bool) {
-	c, found := lc.terms[x]
-	if !found {
+	i := lc.find(x)
+	if i < 0 {
 		return nil, false
 	}
 	// c·x + rest = 0  ⇒  x = -rest / c
-	rest := lc.Clone()
-	delete(rest.terms, x)
-	scale := lc.f.Neg(lc.f.MustInv(c))
-	return rest.Scale(scale), true
+	rest := lc.SubstituteValue(x, ff.Element{})
+	return rest.Scale(lc.f.Neg(lc.f.MustInv(lc.terms[i].c))), true
 }
 
 // Equal reports structural equality (same field, same coefficients).
@@ -262,8 +286,8 @@ func (lc *LinComb) Equal(other *LinComb) bool {
 	if !lc.f.SameField(other.f) || lc.konst != other.konst || len(lc.terms) != len(other.terms) {
 		return false
 	}
-	for v, c := range lc.terms {
-		if oc, ok := other.terms[v]; !ok || c != oc {
+	for i, t := range lc.terms {
+		if t != other.terms[i] {
 			return false
 		}
 	}
@@ -276,9 +300,9 @@ func (lc *LinComb) Equal(other *LinComb) bool {
 func (lc *LinComb) Key() string {
 	buf := make([]byte, 0, (len(lc.terms)+1)*(8*ff.ElementLimbs+8))
 	buf = lc.konst.AppendRawBytes(buf)
-	for _, v := range lc.Vars() {
-		buf = appendVarID(buf, v)
-		buf = lc.terms[v].AppendRawBytes(buf)
+	for _, t := range lc.terms {
+		buf = appendVarID(buf, t.v)
+		buf = t.c.AppendRawBytes(buf)
 	}
 	return string(buf)
 }
@@ -300,8 +324,8 @@ func (lc *LinComb) String() string {
 // StringNamed renders the combination using the provided variable namer.
 func (lc *LinComb) StringNamed(name func(x int) string) string {
 	var parts []string
-	for _, v := range lc.Vars() {
-		c := lc.f.Signed(lc.terms[v])
+	for _, t := range lc.terms {
+		v, c := t.v, lc.f.Signed(t.c)
 		switch {
 		case c.Cmp(oneInt) == 0:
 			parts = append(parts, "+ "+name(v))
@@ -337,13 +361,15 @@ var (
 // RenameVars returns lc with every variable x replaced by rename(x).
 // rename must be injective on the variables of lc.
 func (lc *LinComb) RenameVars(rename func(x int) int) *LinComb {
-	out := NewLinComb(lc.f)
-	out.konst = lc.konst
-	for v, c := range lc.terms {
-		out.terms[rename(v)] = c
+	out := &LinComb{f: lc.f, konst: lc.konst, terms: make([]term, len(lc.terms))}
+	for i, t := range lc.terms {
+		out.terms[i] = term{rename(t.v), t.c}
 	}
-	if len(out.terms) != len(lc.terms) {
-		panic("poly: RenameVars with non-injective renaming")
+	slices.SortFunc(out.terms, func(a, b term) int { return cmp.Compare(a.v, b.v) })
+	for i := 1; i < len(out.terms); i++ {
+		if out.terms[i].v == out.terms[i-1].v {
+			panic("poly: RenameVars with non-injective renaming")
+		}
 	}
 	return out
 }

@@ -113,9 +113,9 @@ func TestLinCombAlgebraQuick(t *testing.T) {
 	if err := quick.Check(propZero, cfg); err != nil {
 		t.Error(err)
 	}
-	// Key is stable under clone and add-zero.
+	// Key is stable under scaling by one and add-zero.
 	propKey := func(a *LinComb) bool {
-		return a.Key() == a.Clone().Key() && a.Key() == a.Add(NewLinComb(f)).Key()
+		return a.Key() == a.Scale(f.One()).Key() && a.Key() == a.Add(NewLinComb(f)).Key()
 	}
 	if err := quick.Check(propKey, cfg); err != nil {
 		t.Error(err)
@@ -323,8 +323,8 @@ func TestQuadDegreeAndShape(t *testing.T) {
 	if _, ok := q.IsConst(); ok {
 		t.Error("product reported const")
 	}
-	if c, ok := ConstQuad(f, 7).IsConst(); !ok || int64Of(f, c) != 7 {
-		t.Error("ConstQuad shape wrong")
+	if c, ok := QuadFromLin(ConstInt(f, 7)).IsConst(); !ok || int64Of(f, c) != 7 {
+		t.Error("constant Quad shape wrong")
 	}
 	if !reflect.DeepEqual(q.Vars(), []int{0, 1}) {
 		t.Errorf("Vars = %v", q.Vars())

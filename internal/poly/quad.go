@@ -1,9 +1,10 @@
 package poly
 
 import (
+	"cmp"
 	"fmt"
 	"math/big" //qed2:allow-mathbig — rendering and signed-magnitude display only
-	"sort"
+	"slices"
 	"strings"
 
 	"qed2/internal/ff"
@@ -23,31 +24,36 @@ func orderedPair(a, b int) VarPair {
 //
 //	Σ q_{ij}·xᵢ·xⱼ + Σ cᵢ·xᵢ + c₀
 //
-// The quadratic part is stored sparsely with ordered variable pairs. Quads
-// are the expanded, canonical view of rank-1 constraints ⟨A,s⟩·⟨B,s⟩−⟨C,s⟩:
-// two constraints are semantically identical iff their Quads are equal.
+// The quadratic part is a slice of nonzero monomials sorted by variable
+// pair. Quads are the expanded, canonical view of rank-1 constraints
+// ⟨A,s⟩·⟨B,s⟩−⟨C,s⟩: two constraints are semantically identical iff their
+// Quads are equal. Like LinComb, a Quad is immutable once built and may
+// share its parts with the operands it was built from.
 type Quad struct {
 	f    *ff.Field
 	lin  *LinComb
-	quad map[VarPair]ff.Element // nonzero coefficients only
+	quad []quadTerm // ascending by pair, nonzero coefficients only
+}
+
+// quadTerm is one bilinear monomial c·x·y of a Quad.
+type quadTerm struct {
+	p VarPair
+	c ff.Element
+}
+
+// cmpPair orders pairs by X, then Y.
+func cmpPair(a, b VarPair) int {
+	if a.X != b.X {
+		return cmp.Compare(a.X, b.X)
+	}
+	return cmp.Compare(a.Y, b.Y)
 }
 
 // NewQuad returns the zero quadratic polynomial.
-func NewQuad(f *ff.Field) *Quad {
-	return &Quad{f: f, lin: NewLinComb(f), quad: map[VarPair]ff.Element{}}
-}
+func NewQuad(f *ff.Field) *Quad { return &Quad{f: f, lin: NewLinComb(f)} }
 
-// ConstQuad returns the constant quadratic polynomial v.
-func ConstQuad(f *ff.Field, v int64) *Quad {
-	return QuadFromLin(ConstInt(f, v))
-}
-
-// QuadFromLin lifts a linear combination to a Quad.
-func QuadFromLin(lc *LinComb) *Quad {
-	q := NewQuad(lc.f)
-	q.lin = lc.Clone()
-	return q
-}
+// QuadFromLin lifts a linear combination to a Quad that shares lc.
+func QuadFromLin(lc *LinComb) *Quad { return &Quad{f: lc.f, lin: lc} }
 
 // MulLin returns the product a·b of two linear combinations as a Quad.
 func MulLin(a, b *LinComb) *Quad {
@@ -55,40 +61,46 @@ func MulLin(a, b *LinComb) *Quad {
 		panic("poly: MulLin across fields")
 	}
 	f := a.f
-	q := NewQuad(f)
-	// constant × everything
-	q.lin = b.Scale(a.konst).Add(a.Scale(b.konst))
-	// The product of the constants was added twice; remove one copy.
-	q.lin.konst = f.Sub(q.lin.konst, f.Mul(a.konst, b.konst))
-	for va, ca := range a.terms {
-		for vb, cb := range b.terms {
-			p := orderedPair(va, vb)
-			c := f.Mul(ca, cb)
-			if cur, ok := q.quad[p]; ok {
-				c = f.Add(cur, c)
-			}
-			if c.IsZero() {
-				delete(q.quad, p)
-			} else {
-				q.quad[p] = c
-			}
+	// (a₀ + Σaᵢxᵢ)(b₀ + Σbⱼxⱼ): the linear part is a₀·Σbⱼxⱼ + b₀·Σaᵢxᵢ.
+	var terms []term
+	switch {
+	case a.konst.IsZero() && b.konst.IsZero():
+	case a.konst.IsZero():
+		terms = scaleTerms(f, a.terms, b.konst)
+	case b.konst.IsZero():
+		terms = scaleTerms(f, b.terms, a.konst)
+	default:
+		terms = mergeTerms(f, scaleTerms(f, a.terms, b.konst), -1, b.terms, mergeScale, a.konst)
+	}
+	q := &Quad{f: f, lin: &LinComb{f: f, konst: f.Mul(a.konst, b.konst), terms: terms}}
+	if len(a.terms) == 0 || len(b.terms) == 0 {
+		return q
+	}
+	prods := make([]quadTerm, 0, len(a.terms)*len(b.terms))
+	for _, ta := range a.terms {
+		for _, tb := range b.terms {
+			prods = append(prods, quadTerm{orderedPair(ta.v, tb.v), f.Mul(ta.c, tb.c)})
 		}
 	}
+	slices.SortFunc(prods, func(x, y quadTerm) int { return cmpPair(x.p, y.p) })
+	// Fold runs of equal pairs in place, dropping sums that vanish.
+	n := 0
+	for i := 0; i < len(prods); {
+		cur := prods[i]
+		for i++; i < len(prods) && prods[i].p == cur.p; i++ {
+			cur.c = f.Add(cur.c, prods[i].c)
+		}
+		if !cur.c.IsZero() {
+			prods[n] = cur
+			n++
+		}
+	}
+	q.quad = prods[:n]
 	return q
 }
 
 // Field returns the coefficient field.
 func (q *Quad) Field() *ff.Field { return q.f }
-
-// Clone returns a deep copy.
-func (q *Quad) Clone() *Quad {
-	out := NewQuad(q.f)
-	out.lin = q.lin.Clone()
-	for p, c := range q.quad {
-		out.quad[p] = c
-	}
-	return out
-}
 
 // Lin returns the linear (plus constant) part. The result aliases internal
 // state and must not be mutated.
@@ -119,70 +131,91 @@ func (q *Quad) Degree() int {
 	return 0
 }
 
-// Add returns q + other.
-func (q *Quad) Add(other *Quad) *Quad {
-	out := q.Clone()
-	out.lin = q.lin.Add(other.lin)
-	for p, c := range other.quad {
-		s := q.f.Add(out.quad[p], c)
-		if s.IsZero() {
-			delete(out.quad, p)
-		} else {
-			out.quad[p] = s
+// mergeQuadTerms returns the sorted, zero-free sum a + b, or a − b when
+// sub is set.
+func mergeQuadTerms(f *ff.Field, a, b []quadTerm, sub bool) []quadTerm {
+	out := make([]quadTerm, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		d := 1 // which side holds the next pair: < 0 a, > 0 b, 0 both
+		if j == len(b) {
+			d = -1
+		} else if i < len(a) {
+			d = cmpPair(a[i].p, b[j].p)
 		}
+		if d < 0 {
+			out = append(out, a[i])
+			i++
+			continue
+		}
+		c := b[j].c
+		if sub {
+			c = f.Neg(c)
+		}
+		if d == 0 {
+			c = f.Add(a[i].c, c)
+			i++
+		}
+		if !c.IsZero() {
+			out = append(out, quadTerm{b[j].p, c})
+		}
+		j++
 	}
 	return out
+}
+
+// Add returns q + other.
+func (q *Quad) Add(other *Quad) *Quad {
+	quad := q.quad
+	switch {
+	case len(other.quad) == 0:
+	case len(q.quad) == 0:
+		quad = other.quad
+	default:
+		quad = mergeQuadTerms(q.f, q.quad, other.quad, false)
+	}
+	return &Quad{f: q.f, lin: q.lin.Add(other.lin), quad: quad}
 }
 
 // Sub returns q - other.
-func (q *Quad) Sub(other *Quad) *Quad { return q.Add(other.Neg()) }
+func (q *Quad) Sub(other *Quad) *Quad {
+	quad := q.quad
+	if len(other.quad) > 0 {
+		quad = mergeQuadTerms(q.f, q.quad, other.quad, true)
+	}
+	return &Quad{f: q.f, lin: q.lin.Sub(other.lin), quad: quad}
+}
 
 // Neg returns -q.
-func (q *Quad) Neg() *Quad {
-	out := NewQuad(q.f)
-	out.lin = q.lin.Neg()
-	for p, c := range q.quad {
-		out.quad[p] = q.f.Neg(c)
-	}
-	return out
-}
+func (q *Quad) Neg() *Quad { return q.Scale(q.f.Neg(q.f.One())) }
 
 // Scale returns k·q.
 func (q *Quad) Scale(k ff.Element) *Quad {
-	out := NewQuad(q.f)
 	if k.IsZero() {
-		return out
+		return NewQuad(q.f)
 	}
-	out.lin = q.lin.Scale(k)
-	for p, c := range q.quad {
-		out.quad[p] = q.f.Mul(c, k)
+	out := &Quad{f: q.f, lin: q.lin.Scale(k), quad: make([]quadTerm, len(q.quad))}
+	for i, t := range q.quad {
+		out.quad[i] = quadTerm{t.p, q.f.Mul(t.c, k)}
 	}
 	return out
 }
 
 // Vars returns the set of variables occurring in q, ascending.
 func (q *Quad) Vars() []int {
-	seen := map[int]bool{}
-	for _, v := range q.lin.Vars() {
-		seen[v] = true
+	out := q.lin.Vars()
+	for _, t := range q.quad {
+		out = append(out, t.p.X, t.p.Y)
 	}
-	for p := range q.quad {
-		seen[p.X] = true
-		seen[p.Y] = true
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Eval evaluates q under the assignment fn, allocation-free.
 func (q *Quad) Eval(fn func(x int) ff.Element) ff.Element {
 	acc := q.lin.Eval(fn)
-	for p, c := range q.quad {
-		acc = q.f.Add(acc, q.f.Mul(c, q.f.Mul(fn(p.X), fn(p.Y))))
+	for _, t := range q.quad {
+		acc = q.f.Add(acc, q.f.Mul(t.c, q.f.Mul(fn(t.p.X), fn(t.p.Y))))
 	}
 	return acc
 }
@@ -192,88 +225,76 @@ func (q *Quad) EvalMap(m map[int]ff.Element) ff.Element {
 	return q.Eval(func(x int) ff.Element { return m[x] })
 }
 
-// SubstituteValue returns q with variable x fixed to the constant v.
+// SubstituteValue returns q with variable x fixed to the constant v. When
+// x does not occur it returns q itself.
 func (q *Quad) SubstituteValue(x int, v ff.Element) *Quad {
-	out := NewQuad(q.f)
-	out.lin = q.lin.SubstituteValue(x, v)
-	for p, c := range q.quad {
+	f := q.f
+	lin := q.lin.SubstituteValue(x, v)
+	// Pairs are sorted, so the partners y of the monomials y·x (y < x) and
+	// then x·y (y > x) come out ascending: add is already a sorted term list.
+	rest := make([]quadTerm, 0, len(q.quad))
+	var add []term
+	var konst ff.Element
+	for _, t := range q.quad {
 		switch {
-		case p.X == x && p.Y == x:
-			out.lin.konst = q.f.Add(out.lin.konst, q.f.Mul(c, q.f.Mul(v, v)))
-		case p.X == x:
-			out.lin = out.lin.AddTerm(p.Y, q.f.Mul(c, v))
-		case p.Y == x:
-			out.lin = out.lin.AddTerm(p.X, q.f.Mul(c, v))
+		case t.p.X == x && t.p.Y == x:
+			konst = f.Mul(f.Mul(t.c, v), v)
+		case t.p.X == x:
+			add = append(add, term{t.p.Y, f.Mul(t.c, v)})
+		case t.p.Y == x:
+			add = append(add, term{t.p.X, f.Mul(t.c, v)})
 		default:
-			out.quad[p] = c
+			rest = append(rest, t)
 		}
 	}
-	return out
+	if len(rest) == len(q.quad) {
+		if lin == q.lin {
+			return q
+		}
+		return &Quad{f: f, lin: lin, quad: q.quad}
+	}
+	// lin may be q.lin itself, so the result gets a fresh LinComb.
+	terms := lin.terms
+	if len(add) > 0 {
+		terms = mergeTerms(f, lin.terms, -1, add, mergeAdd, ff.Element{})
+	}
+	return &Quad{f: f, lin: &LinComb{f: f, konst: f.Add(lin.konst, konst), terms: terms}, quad: rest}
 }
 
 // CoeffPair returns the coefficient of the monomial xᵢ·xⱼ.
 func (q *Quad) CoeffPair(i, j int) ff.Element {
-	return q.quad[orderedPair(i, j)]
+	p := orderedPair(i, j)
+	if k, ok := slices.BinarySearchFunc(q.quad, p, func(t quadTerm, p VarPair) int { return cmpPair(t.p, p) }); ok {
+		return q.quad[k].c
+	}
+	return ff.Element{}
 }
 
 // NumQuadTerms returns the number of distinct bilinear monomials.
 func (q *Quad) NumQuadTerms() int { return len(q.quad) }
 
 // VisitQuadTerms calls fn for every bilinear monomial in canonical
-// (sorted-pair) order, so iteration is deterministic.
+// (sorted-pair) order, without allocating.
 func (q *Quad) VisitQuadTerms(fn func(p VarPair, coeff ff.Element)) {
-	for _, pr := range q.sortedPairs() {
-		fn(pr, q.quad[pr])
-	}
-}
-
-// VisitQuadTermsUnordered calls fn for every bilinear monomial in
-// unspecified order. Unlike VisitQuadTerms it neither sorts nor allocates;
-// callers must fold the visits with an order-independent operation.
-func (q *Quad) VisitQuadTermsUnordered(fn func(p VarPair, coeff ff.Element)) {
-	for p, c := range q.quad {
-		fn(p, c)
+	for _, t := range q.quad {
+		fn(t.p, t.c)
 	}
 }
 
 // Equal reports canonical equality of two quadratic polynomials.
 func (q *Quad) Equal(other *Quad) bool {
-	if !q.f.SameField(other.f) || !q.lin.Equal(other.lin) || len(q.quad) != len(other.quad) {
-		return false
-	}
-	for p, c := range q.quad {
-		if oc, ok := other.quad[p]; !ok || c != oc {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedPairs returns the bilinear monomials in canonical pair order.
-func (q *Quad) sortedPairs() []VarPair {
-	pairs := make([]VarPair, 0, len(q.quad))
-	for p := range q.quad {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].X != pairs[j].X {
-			return pairs[i].X < pairs[j].X
-		}
-		return pairs[i].Y < pairs[j].Y
-	})
-	return pairs
+	return q.f.SameField(other.f) && q.lin.Equal(other.lin) && slices.Equal(q.quad, other.quad)
 }
 
 // Key returns a canonical string for hashing/deduplication, unique up to
 // polynomial identity. Like LinComb.Key it encodes raw limb bytes: cheap,
 // canonical per field, never printed.
 func (q *Quad) Key() string {
-	pairs := q.sortedPairs()
-	buf := make([]byte, 0, len(pairs)*(16+8*ff.ElementLimbs)+64)
-	for _, p := range pairs {
-		buf = appendVarID(buf, p.X)
-		buf = appendVarID(buf, p.Y)
-		buf = q.quad[p].AppendRawBytes(buf)
+	buf := make([]byte, 0, len(q.quad)*(16+8*ff.ElementLimbs)+64)
+	for _, t := range q.quad {
+		buf = appendVarID(buf, t.p.X)
+		buf = appendVarID(buf, t.p.Y)
+		buf = t.c.AppendRawBytes(buf)
 	}
 	buf = append(buf, '#')
 	return string(buf) + q.lin.Key()
@@ -282,17 +303,20 @@ func (q *Quad) Key() string {
 // NormalizeSign returns q scaled so that its leading coefficient (first
 // bilinear monomial in pair order, else first linear coefficient, else the
 // constant) equals 1, yielding a canonical representative of the equation
-// q = 0 modulo nonzero scaling. The zero polynomial is returned unchanged.
+// q = 0 modulo nonzero scaling. The zero polynomial, and a q already
+// normalized, is returned as is.
 func (q *Quad) NormalizeSign() *Quad {
 	var lead ff.Element
-	if pairs := q.sortedPairs(); len(pairs) > 0 {
-		lead = q.quad[pairs[0]]
-	} else if vs := q.lin.Vars(); len(vs) > 0 {
-		lead = q.lin.Coeff(vs[0])
-	} else if !q.lin.konst.IsZero() {
+	switch {
+	case len(q.quad) > 0:
+		lead = q.quad[0].c
+	case len(q.lin.terms) > 0:
+		lead = q.lin.terms[0].c
+	default:
 		lead = q.lin.konst
-	} else {
-		return q.Clone()
+	}
+	if lead.IsZero() || q.f.IsOne(lead) {
+		return q
 	}
 	return q.Scale(q.f.MustInv(lead))
 }
@@ -305,8 +329,8 @@ func (q *Quad) String() string {
 // StringNamed renders the polynomial with the given variable namer.
 func (q *Quad) StringNamed(name func(x int) string) string {
 	var parts []string
-	for _, p := range q.sortedPairs() {
-		c := q.f.Signed(q.quad[p])
+	for _, t := range q.quad {
+		p, c := t.p, q.f.Signed(t.c)
 		mono := name(p.X) + "*" + name(p.Y)
 		if p.X == p.Y {
 			mono = name(p.X) + "²"

@@ -5,7 +5,7 @@ package smt
 // canonical *string* keys (NormalizeSign + raw-byte Key) for every
 // equation they wanted to compare — a field inversion, a byte buffer and a
 // string-map insertion per equation. The fingerprints here replace that
-// with 64-bit multiset hashes folded over the unordered term maps:
+// with 64-bit multiset hashes folded over the polynomials' terms:
 //
 //   - quadShapeFingerprint hashes only the *shape* of a polynomial (which
 //     monomials occur, not their coefficients), making it invariant under
@@ -19,10 +19,6 @@ package smt
 //     ever missed; an (astronomically unlikely, but deterministic) bucket
 //     collision is harmless because the pair scan re-checks that the
 //     difference is linear before using it.
-//
-// Multiset (commutative) folding is what lets the hashes run off the raw
-// Go maps via the Unordered visitors: per-term hashes are combined with
-// addition, so map iteration order cannot leak into the result.
 
 import (
 	"qed2/internal/ff"
@@ -56,12 +52,12 @@ func hashElem(h uint64, e ff.Element) uint64 {
 func quadShapeFingerprint(q *poly.Quad) uint64 {
 	var quadSum, linSum uint64
 	var nQuad, nLin uint64
-	q.VisitQuadTermsUnordered(func(p poly.VarPair, _ ff.Element) {
+	q.VisitQuadTerms(func(p poly.VarPair, _ ff.Element) {
 		quadSum += mix64(uint64(p.X)<<32 ^ uint64(p.Y) ^ 0x9e3779b97f4a7c15)
 		nQuad++
 	})
 	lin := q.Lin()
-	lin.VisitTermsUnordered(func(x int, _ ff.Element) {
+	lin.VisitTerms(func(x int, _ ff.Element) {
 		linSum += mix64(uint64(x) ^ 0xd1b54a32d192ed03)
 		nLin++
 	})
@@ -80,7 +76,7 @@ func quadShapeFingerprint(q *poly.Quad) uint64 {
 func quadPartFingerprint(q *poly.Quad) uint64 {
 	var sum uint64
 	var n uint64
-	q.VisitQuadTermsUnordered(func(p poly.VarPair, c ff.Element) {
+	q.VisitQuadTerms(func(p poly.VarPair, c ff.Element) {
 		h := mix64(uint64(p.X)<<32 ^ uint64(p.Y) ^ 0x9e3779b97f4a7c15)
 		sum += hashElem(h, c)
 		n++
@@ -92,29 +88,19 @@ func quadPartFingerprint(q *poly.Quad) uint64 {
 // first bilinear monomial in canonical pair order, else the first linear
 // coefficient, else the constant. Zero only for the zero polynomial.
 func leadCoeff(q *poly.Quad) ff.Element {
-	if q.NumQuadTerms() > 0 {
-		var best poly.VarPair
-		var bestC ff.Element
-		first := true
-		q.VisitQuadTermsUnordered(func(p poly.VarPair, c ff.Element) {
-			if first || p.X < best.X || (p.X == best.X && p.Y < best.Y) {
-				best, bestC, first = p, c, false
-			}
-		})
-		return bestC
+	var lead ff.Element
+	found := false
+	first := func(c ff.Element) {
+		if !found {
+			lead, found = c, true
+		}
 	}
-	lin := q.Lin()
-	if lin.NumTerms() > 0 {
-		bestV := -1
-		var bestC ff.Element
-		lin.VisitTermsUnordered(func(x int, c ff.Element) {
-			if bestV < 0 || x < bestV {
-				bestV, bestC = x, c
-			}
-		})
-		return bestC
+	q.VisitQuadTerms(func(_ poly.VarPair, c ff.Element) { first(c) })
+	q.Lin().VisitTerms(func(_ int, c ff.Element) { first(c) })
+	if !found {
+		return q.Lin().Constant()
 	}
-	return lin.Constant()
+	return lead
 }
 
 // equalModScale reports whether a = k·b for some nonzero field constant k.

@@ -272,14 +272,15 @@ func (sess *Session) solveContinuation(neqs []*poly.LinComb, o Options) Outcome 
 }
 
 // Facts returns the root-level eliminations of the current base fixpoint.
-// Expressions are cloned: the caller may hold them across later Extends.
+// The expressions are shared with the session; LinCombs are immutable, so
+// the caller may hold them across later Extends.
 func (sess *Session) Facts() []Fact {
 	if sess.poisoned || sess.base == nil {
 		return nil
 	}
 	out := make([]Fact, 0, len(sess.base.subs))
 	for _, e := range sess.base.subs {
-		out = append(out, Fact{Var: e.v, Expr: e.expr.Clone()})
+		out = append(out, Fact{Var: e.v, Expr: e.expr})
 	}
 	return out
 }
@@ -351,12 +352,13 @@ func applySubs(subs []subEntry, l *poly.LinComb) *poly.LinComb {
 	for _, e := range subs {
 		out = out.Substitute(e.v, e.expr)
 	}
-	return out.Clone()
+	return out
 }
 
-// cloneEqs snapshots an equation list. The copy is shallow: LinCombs are
-// never mutated in place (poly operations are copy-on-write), so sharing
-// them between the snapshot and the live state is safe.
+// cloneEqs snapshots an equation list. The copy is shallow: a LinComb is
+// immutable once built (poly operations return new values or their
+// receiver, never write to an existing one), so sharing them between the
+// snapshot and the live state is safe.
 func cloneEqs(eqs []Equation) []Equation {
 	return append([]Equation(nil), eqs...)
 }

@@ -149,7 +149,7 @@ func TestQuadDiffDetectsContradiction(t *testing.T) {
 	x, y := poly.Var(f, 0), poly.Var(f, 1)
 	p := NewProblem(f)
 	p.AddEq(x, y, poly.ConstInt(f, 1))
-	p.AddEq(x.Clone(), y.Clone(), poly.ConstInt(f, 2))
+	p.AddEq(poly.Var(f, 0), poly.Var(f, 1), poly.ConstInt(f, 2))
 	out := Solve(p, &Options{Seed: 1})
 	if out.Status != StatusUnsat {
 		t.Fatalf("status = %v (%s), want unsat", out.Status, out.Reason)

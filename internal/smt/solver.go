@@ -202,8 +202,9 @@ func (s *solver) outcome(res resultKind, model Model, check func(Model) error) O
 // modulo nonzero scaling, freeHint set to the problem's variables. Shared
 // by the from-scratch path and the incremental sessions so both start from
 // an identical state. The problem's LinCombs are referenced, not cloned:
-// the solver never mutates a LinComb in place (all poly operations are
-// copy-on-write), so sharing them with the caller is safe.
+// a LinComb is immutable once built (poly operations return a new value or
+// their receiver and never write to an existing one), so sharing them with
+// the caller is safe.
 func newState(p *Problem) *state {
 	st := &state{f: p.Field, complete: true}
 	seen := newQuadSet()
@@ -329,10 +330,10 @@ type state struct {
 
 // clone copies the state shallowly: the slices are fresh (both sides
 // overwrite elements in place), but the LinComb values they point at are
-// shared. That sharing is safe because every poly.LinComb operation is
-// copy-on-write — the solver only ever replaces an element with a newly
-// built expression, never mutates one it already holds. derived is the one
-// in-place-mutable structure (a fingerprint set) and is deep-copied.
+// shared. That sharing is safe because a LinComb is immutable once built —
+// poly operations return a new value or their receiver, and the solver only
+// ever replaces an element, never writes to one it holds. derived is the
+// one in-place-mutable structure (a fingerprint set) and is deep-copied.
 func (st *state) clone() *state {
 	out := &state{f: st.f, complete: st.complete, freeHint: st.freeHint}
 	out.eqs = append([]Equation(nil), st.eqs...)
@@ -668,7 +669,7 @@ func (s *solver) derivePairs(st *state) bool {
 					if diff.IsZero() {
 						continue // 0 = 0, vacuous
 					}
-					ne := Equation{A: diff, B: hi.factor.Clone(), C: cDiff}
+					ne := Equation{A: diff, B: hi.factor, C: cDiff}
 					if !st.derived.add(expandEq(ne)) {
 						continue
 					}
