@@ -25,6 +25,7 @@ type traceLine struct {
 	Sig        *int                       `json:"sig"`
 	Full       bool                       `json:"full"`
 	Reason     string                     `json:"reason"`
+	Steps      int64                      `json:"steps"`
 	Counters   map[string]int64           `json:"counters"`
 	Histograms map[string]json.RawMessage `json:"histograms"`
 }
@@ -50,6 +51,20 @@ func readTrace(t *testing.T, path string) []traceLine {
 		t.Fatal(err)
 	}
 	return lines
+}
+
+// solveSpanSteps sums the steps attribute over the smt.solve span ends:
+// the per-call solver work the trace records. qed2perf's smt.steps and
+// smt.us_per_step are read from these spans, so they must add up to the
+// report's SolverSteps.
+func solveSpanSteps(lines []traceLine) int64 {
+	var sum int64
+	for _, l := range lines {
+		if l.Ev == "span_end" && l.Name == "smt.solve" {
+			sum += l.Steps
+		}
+	}
+	return sum
 }
 
 // TestCLITraceReconcilesWithStats is the observability acceptance check:
@@ -119,6 +134,9 @@ func TestCLITraceReconcilesWithStats(t *testing.T) {
 	}
 	if c["smt.steps"] != rep.Stats.SolverSteps {
 		t.Errorf("smt.steps counter = %d, report says %d solver steps", c["smt.steps"], rep.Stats.SolverSteps)
+	}
+	if got := solveSpanSteps(lines); got != rep.Stats.SolverSteps {
+		t.Errorf("smt.solve spans sum to %d steps, report says %d solver steps", got, rep.Stats.SolverSteps)
 	}
 	if got := events["core.cache_hit"]; got != rep.Stats.CacheHits {
 		t.Errorf("core.cache_hit event count = %d, report says %d cache hits", got, rep.Stats.CacheHits)
@@ -231,6 +249,9 @@ component main = IsZero();
 	}
 	if c["smt.steps"] != rep.Stats.SolverSteps {
 		t.Errorf("smt.steps = %d, report says %d solver steps", c["smt.steps"], rep.Stats.SolverSteps)
+	}
+	if got := solveSpanSteps(lines); got != rep.Stats.SolverSteps {
+		t.Errorf("smt.solve spans sum to %d steps, report says %d solver steps", got, rep.Stats.SolverSteps)
 	}
 	if c["core.cache.hits"] != int64(rep.Stats.CacheHits) {
 		t.Errorf("core.cache.hits = %d, report says %d", c["core.cache.hits"], rep.Stats.CacheHits)

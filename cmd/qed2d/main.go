@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		timeout      = fs.Duration("timeout", 0, "wall-clock analysis timeout per job (0 = none)")
 		seed         = fs.Int64("seed", 0, "deterministic solver seed")
 		queryWorkers = fs.Int("query-workers", 0, "parallel slice-query workers per analysis (0 = GOMAXPROCS)")
-		noInc        = fs.Bool("no-incremental", false, "disable incremental slice solving")
 		workers      = fs.Int("workers", 1, "concurrent analyses")
 		queueDepth   = fs.Int("queue-depth", 64, "maximum queued (not yet running) jobs")
 		tenantQuota  = fs.Int("tenant-quota", 0, "maximum queued jobs per tenant (0 = queue-depth)")
@@ -125,13 +124,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := core.Config{
-		SliceRadius:        *radius,
-		QuerySteps:         *querySteps,
-		GlobalSteps:        *globalSteps,
-		Timeout:            *timeout,
-		Seed:               *seed,
-		Workers:            *queryWorkers,
-		DisableIncremental: *noInc,
+		SliceRadius: *radius,
+		QuerySteps:  *querySteps,
+		GlobalSteps: *globalSteps,
+		Timeout:     *timeout,
+		Seed:        *seed,
+		Workers:     *queryWorkers,
 	}
 	switch *mode {
 	case "qed2":

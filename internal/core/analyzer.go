@@ -144,15 +144,6 @@ type Config struct {
 	// (ModePropagationOnly, ModeSMTOnly) never run the pre-pass so they stay
 	// faithful to the systems the paper compares against.
 	DisableStatic bool
-	// DisableIncremental switches off incremental slice solving: the batch
-	// dispatch that groups sibling queries of a round over one shared,
-	// pre-propagated base state (batch.go, smt.Session) and the learned-fact
-	// store fed from those bases (facts.go). With it set, every query is
-	// solved from scratch, exactly as before the incremental engine existed.
-	// Verdicts, counterexamples and findings are identical either way (see
-	// DESIGN.md §13 and TestIncrementalDifferentialSuite); only the solver
-	// effort differs.
-	DisableIncremental bool
 	// Obs, when non-nil, receives hierarchical spans for every phase of
 	// the analysis (rounds, queries, confirmations); ObsParent optionally
 	// nests the whole analysis under a caller-owned span (the bench runner
@@ -274,25 +265,6 @@ type Stats struct {
 	StaticRangeUnique    int
 	StaticQueriesAvoided int
 	StaticRangePruned    int
-	// Incremental-solving effort attribution (all zero when
-	// Config.DisableIncremental is set). BatchGroups counts sibling-query
-	// groups that shared one incremental base state; IncrementalReuses
-	// counts queries answered as continuations of such a state;
-	// IncrementalExtends counts retained bases grown in place by a
-	// shared-signal-mask diff instead of being rebuilt;
-	// IncrementalFallbacks counts groups whose tasks fell back to
-	// from-scratch solving (base poisoned, budget-starved, or crashed);
-	// IncrementalBaseSteps counts the solver steps spent preparing shared
-	// bases (included in SolverSteps). LearnedFacts counts replay-safe
-	// facts recorded from base fixpoints, and FactsInjected counts fact
-	// equations added to fallback sibling queries.
-	BatchGroups          int
-	IncrementalReuses    int
-	IncrementalExtends   int
-	IncrementalFallbacks int
-	IncrementalBaseSteps int64
-	LearnedFacts         int
-	FactsInjected        int
 	// Workers records the degree of query parallelism used.
 	Workers int
 	// Duration is wall-clock analysis time.
@@ -374,12 +346,6 @@ type analysis struct {
 	// set, shared-signal mask) so re-propagation rounds do not re-solve
 	// structurally identical queries. Accessed only at round barriers.
 	cache map[string]smt.Outcome
-	// sessions retains incremental base states across rounds, keyed by
-	// constraint subset (batch.go); facts is the learned-fact store fed
-	// from those bases (facts.go). Both are written only at round barriers;
-	// workers read sessions through immutable *smt.Session values.
-	sessions map[string]*sessionEntry
-	facts    *factStore
 	// staticPruned marks signals whose slice queries the static pre-pass
 	// proved irrelevant to every output verdict (nil when the pass did not
 	// run); staticUnreachable lists outputs the reachability analysis wants
@@ -399,10 +365,6 @@ type analysis struct {
 	cRetries        *obs.Counter
 	cCutoffSkipped  *obs.Counter
 	cAbandoned      *obs.Counter
-	cBatchGroups    *obs.Counter
-	cBatchTasks     *obs.Counter
-	cIncFallbacks   *obs.Counter
-	cFactsInjected  *obs.Counter
 	hSliceCons      *obs.Histogram
 	hSliceSigs      *obs.Histogram
 }
@@ -425,14 +387,12 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	}
 	c := cfg.withDefaults()
 	a := &analysis{
-		sys:      sys,
-		cfg:      c,
-		ctx:      ctx,
-		start:    time.Now(),
-		report:   &Report{},
-		cache:    map[string]smt.Outcome{},
-		sessions: map[string]*sessionEntry{},
-		facts:    newFactStore(),
+		sys:    sys,
+		cfg:    c,
+		ctx:    ctx,
+		start:  time.Now(),
+		report: &Report{},
+		cache:  map[string]smt.Outcome{},
 	}
 	a.stepsRem.Store(c.GlobalSteps)
 	if c.Timeout > 0 {
@@ -459,10 +419,6 @@ func AnalyzeContext(ctx context.Context, sys *r1cs.System, cfg *Config) *Report 
 	a.cRetries = c.Metrics.Counter("core.query.retries")
 	a.cCutoffSkipped = c.Metrics.Counter("core.query.cutoff_skipped")
 	a.cAbandoned = c.Metrics.Counter("core.query.abandoned")
-	a.cBatchGroups = c.Metrics.Counter("core.batch.groups")
-	a.cBatchTasks = c.Metrics.Counter("core.batch.grouped_tasks")
-	a.cIncFallbacks = c.Metrics.Counter("core.batch.fallbacks")
-	a.cFactsInjected = c.Metrics.Counter("core.facts.injected")
 	a.hSliceCons = c.Metrics.Histogram("core.slice.constraints")
 	a.hSliceSigs = c.Metrics.Histogram("core.slice.signals")
 
@@ -607,7 +563,7 @@ func (a *analysis) solveSeq(p *smt.Problem, target int) smt.Outcome {
 		return smt.Outcome{Status: smt.StatusUnknown, Reason: "global budget exhausted"}
 	}
 	build := func() *smt.Problem { return p }
-	out, panicked := a.runQuery(build, target, len(p.Eqs)/2, true, grant, a.querySeed(target))
+	out, panicked := a.runQuery(a.ctx, build, target, len(p.Eqs)/2, true, grant, a.querySeed(target))
 	a.settle(grant, out.Steps)
 	if panicked {
 		out = a.retryOnce(build, target, len(p.Eqs)/2, true, out)

@@ -198,9 +198,8 @@ func TestPanickedTaskBelowCutoffRetriesAndWins(t *testing.T) {
 }
 
 // TestBudgetReasonsSayWhatHappened: while no step has been spent, an empty
-// pool is one this round's queries hold in full, and both the admission
-// outcome and the batch-group fallback say so; once steps were spent the
-// pool is exhausted.
+// pool is one this round's queries hold in full, and the admission outcome
+// says so; once steps were spent the pool is exhausted.
 func TestBudgetReasonsSayWhatHappened(t *testing.T) {
 	p := compile(t, decoderBuggy)
 	const steps = 100
@@ -214,15 +213,6 @@ func TestBudgetReasonsSayWhatHappened(t *testing.T) {
 		}
 	}
 	const reserved = "global budget fully reserved by this round's queries"
-	groups := a.formGroups(tasks)
-	if len(groups) == 0 {
-		t.Fatal("no batch groups formed")
-	}
-	for _, g := range groups {
-		if want := reserved + " before base preparation"; !g.fallback || g.fallbackReason != want {
-			t.Errorf("group fallback = %v %q, want %q", g.fallback, g.fallbackReason, want)
-		}
-	}
 	extra := &queryTask{sig: tasks[0].sig, cons: tasks[0].cons}
 	a.admit(extra, a.sys.SliceAround(extra.sig, 2, 64).Signals, snap)
 	if extra.out.Reason != reserved {
@@ -234,10 +224,6 @@ func TestBudgetReasonsSayWhatHappened(t *testing.T) {
 	a.admit(extra, a.sys.SliceAround(extra.sig, 2, 64).Signals, snap)
 	if extra.out.Reason != "global budget exhausted" {
 		t.Errorf("admission after spending: reason %q, want %q", extra.out.Reason, "global budget exhausted")
-	}
-	g := a.formGroups([]*queryTask{tasks[1]})[0]
-	if want := "global budget exhausted before base preparation"; g.fallbackReason != want {
-		t.Errorf("group fallback after spending = %q, want %q", g.fallbackReason, want)
 	}
 }
 

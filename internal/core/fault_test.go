@@ -214,7 +214,7 @@ component main = Mul();
 	}
 
 	grant := a.reserve()
-	out, panicked := a.runQuery(build, target, len(allCons), true, grant, a.querySeed(target))
+	out, panicked := a.runQuery(context.Background(), build, target, len(allCons), true, grant, a.querySeed(target))
 	a.settle(grant, out.Steps)
 	if !panicked {
 		t.Fatal("first attempt did not report the panic")

@@ -66,22 +66,6 @@ type queryTask struct {
 	// barrier (see retryQuarantined).
 	panicked bool
 	out      smt.Outcome
-
-	// Batch identity (batch.go): consKey/mask name the target-independent
-	// base problem, groupKey = consKey + "|" + mask, sigs is the slice
-	// signal list. All empty/nil when incremental solving is disabled or
-	// the task was answered from the cache.
-	consKey  string
-	mask     string
-	groupKey string
-	sigs     []int
-	grp      *batchGroup
-	// inc reports the task was answered as a continuation of its group's
-	// shared base state; factsInjected counts learned-fact equations added
-	// to a from-scratch fallback problem. Both are set by the worker that
-	// owns the task and folded at the barrier.
-	inc           bool
-	factsInjected int
 }
 
 // querySeed derives the solver seed for a query targeting sig. Deriving
@@ -142,11 +126,6 @@ func (a *analysis) admit(t *queryTask, sigs []int, snap *uniq.Snapshot) {
 		return
 	}
 	t.key = key
-	if !a.cfg.DisableIncremental && len(t.cons) > 0 {
-		t.consKey, t.mask = groupIdent(t.cons, sigs, snap)
-		t.groupKey = t.consKey + "|" + t.mask
-		t.sigs = sigs
-	}
 	a.cCacheMisses.Inc()
 	a.hSliceCons.Observe(int64(len(t.cons)))
 	a.hSliceSigs.Observe(int64(len(sigs)))
@@ -184,18 +163,9 @@ func outcomeDegradation(out smt.Outcome) Degradation {
 // extension the whole analysis. A panicked query can only ever degrade the
 // verdict to unknown: safe needs a sound UNSAT proof and unsafe needs a
 // checked counterexample, neither of which a crashed attempt can produce.
-func (a *analysis) runQuery(build func() *smt.Problem, sig, consLen int, full bool, grant, seed int64) (out smt.Outcome, panicked bool) {
-	return a.runQueryVia(a.ctx, func(o *smt.Options) smt.Outcome {
-		return smt.Solve(build(), o)
-	}, sig, consLen, full, grant, seed)
-}
-
-// runQueryVia is runQuery generalized over the solving strategy and the
-// cancellation context: the closure receives the fully-assembled solver
-// options and may answer from-scratch (smt.Solve) or as an
-// incremental-session continuation. The fault boundary, span bracketing and
-// fault-injection check are identical either way.
-func (a *analysis) runQueryVia(ctx context.Context, solve func(o *smt.Options) smt.Outcome, sig, consLen int, full bool, grant, seed int64) (out smt.Outcome, panicked bool) {
+// The solve runs under ctx: the analysis context, or a round task's own
+// context that its round's cutoff can cancel.
+func (a *analysis) runQuery(ctx context.Context, build func() *smt.Problem, sig, consLen int, full bool, grant, seed int64) (out smt.Outcome, panicked bool) {
 	qs := a.cfg.Obs.Start(a.span, "core.query",
 		obs.KV("sig", sig), obs.KV("cons", consLen), obs.KV("full", full))
 	defer func() {
@@ -214,7 +184,7 @@ func (a *analysis) runQueryVia(ctx context.Context, solve func(o *smt.Options) s
 	if faultinject.Enabled() {
 		faultinject.Check("core.query")
 	}
-	out = solve(&smt.Options{
+	out = smt.Solve(build(), &smt.Options{
 		MaxSteps: grant,
 		Seed:     seed,
 		Deadline: a.deadline,
@@ -259,7 +229,7 @@ func (a *analysis) retryOnce(build func() *smt.Problem, sig, consLen int, full b
 	}
 	a.nRetries.Add(1)
 	a.cRetries.Inc()
-	out, panicked := a.runQuery(build, sig, consLen, full, grant, a.querySeed(sig)^retrySeedPerturb)
+	out, panicked := a.runQuery(a.ctx, build, sig, consLen, full, grant, a.querySeed(sig)^retrySeedPerturb)
 	a.settle(grant, out.Steps)
 	if panicked {
 		return quarantined
@@ -376,8 +346,6 @@ func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) []*queryTas
 	if len(pending) == 0 {
 		return tasks
 	}
-	groups := a.formGroups(pending)
-	a.prepareGroups(groups, snap)
 	workers := a.cfg.Workers
 	if workers > len(pending) {
 		workers = len(pending)
@@ -409,16 +377,8 @@ func (a *analysis) runRound(tasks []*queryTask, snap *uniq.Snapshot) []*queryTas
 					a.skip(t, afterCounterexample)
 					continue
 				}
-				t.out, t.panicked = a.runQueryVia(ctx, func(o *smt.Options) smt.Outcome {
-					if g := t.grp; g != nil && g.usable() {
-						t.inc = true
-						return a.solveIncremental(g, t, o)
-					}
-					p := buildUniquenessProblem(a.sys, t.cons, snap.IsUnique, t.sig)
-					if t.grp != nil && !t.full {
-						t.factsInjected = a.injectFacts(p, t, snap)
-					}
-					return smt.Solve(p, o)
+				t.out, t.panicked = a.runQuery(ctx, func() *smt.Problem {
+					return buildUniquenessProblem(a.sys, t.cons, snap.IsUnique, t.sig)
 				}, t.sig, len(t.cons), t.full, t.budget, a.querySeed(t.sig))
 				cut.end(i)
 				t.ran = true
@@ -479,13 +439,6 @@ func (a *analysis) accountTask(t *queryTask) {
 	}
 	a.report.Stats.Queries++
 	a.report.Stats.SolverSteps += t.out.Steps
-	if t.inc {
-		a.report.Stats.IncrementalReuses++
-	}
-	if t.factsInjected > 0 {
-		a.report.Stats.FactsInjected += t.factsInjected
-		a.cFactsInjected.Add(int64(t.factsInjected))
-	}
 	if t.key != "" && cacheable(t.out) {
 		a.cache[t.key] = t.out
 	}

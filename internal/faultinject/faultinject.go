@@ -15,9 +15,6 @@
 //
 //	smt.solve       — entry of every SMT query (panic, latency, error, deadline)
 //	smt.step        — solver step loop, checked every few steps (error, deadline, panic)
-//	smt.incremental — session build/extend for batched slice queries (error,
-//	                  deadline — poisons the session; panics propagate to the
-//	                  base-preparation recover boundary in core)
 //	core.query      — per-query worker wrapper in the analysis engine (panic, latency)
 //	circom.compile  — front-end entry (panic; exercises the recover boundary)
 //	bench.instance  — per-instance bench runner (panic; exercises instance isolation)

@@ -167,20 +167,20 @@ func solveProblem(p *Problem, o Options) Outcome {
 	}
 	st := newState(p)
 	res, model := s.solve(st, 0)
-	return s.outcome(res, model, func(m Model) error { return p.Check(m) })
+	return s.outcome(res, model, p)
 }
 
-// outcome assembles the Outcome for a finished search. check re-verifies a
-// SAT model against the original constraints (defensive: a model that does
+// outcome assembles the Outcome for a finished search. A SAT model is
+// re-verified against p's original constraints (defensive: a model that does
 // not check is a solver bug; better to degrade to Unknown than to report a
 // bogus SAT).
-func (s *solver) outcome(res resultKind, model Model, check func(Model) error) Outcome {
+func (s *solver) outcome(res resultKind, model Model, p *Problem) Outcome {
 	out := Outcome{Steps: s.steps, Effort: s.eff}
 	switch res {
 	case rSat:
 		out.Status = StatusSat
 		out.Model = model
-		if err := check(model); err != nil {
+		if err := p.Check(model); err != nil {
 			out.Status = StatusUnknown
 			out.Model = nil
 			out.Reason = "internal: model check failed: " + err.Error()
@@ -199,9 +199,8 @@ func (s *solver) outcome(res resultKind, model Model, check func(Model) error) O
 }
 
 // newState builds the root search state for p: equations deduplicated
-// modulo nonzero scaling, freeHint set to the problem's variables. Shared
-// by the from-scratch path and the incremental sessions so both start from
-// an identical state. The problem's LinCombs are referenced, not cloned:
+// modulo nonzero scaling, freeHint set to the problem's variables. The
+// problem's LinCombs are referenced, not cloned:
 // a LinComb is immutable once built (poly operations return a new value or
 // their receiver and never write to an existing one), so sharing them with
 // the caller is safe.
@@ -246,14 +245,6 @@ type solver struct {
 	// (budget, deadline, cancellation, injected fault); it feeds
 	// Outcome.ResourceLimited.
 	limited bool
-	// stepBias is added to steps for budget accounting and check cadence
-	// only. Incremental continuations (incremental.go) set it to the steps
-	// the shared base already consumed minus the one redundant fixpoint
-	// pass, so a continuation exhausts its per-query budget at exactly the
-	// same point in the search tree as a from-scratch solve would — the
-	// step parity behind the byte-identical-outcome guarantee. Reported
-	// Outcome.Steps stay unbiased (steps actually executed).
-	stepBias int64
 }
 
 func (s *solver) step() bool {
@@ -261,13 +252,13 @@ func (s *solver) step() bool {
 		return false
 	}
 	s.steps++
-	if s.steps+s.stepBias > s.opts.MaxSteps {
+	if s.steps > s.opts.MaxSteps {
 		s.reason = budgetExhausted
 		s.halted = true
 		s.limited = true
 		return false
 	}
-	if (s.steps+s.stepBias)%deadlineCheckEvery == 0 {
+	if s.steps%deadlineCheckEvery == 0 {
 		// Wall-clock bounds, cancellation and the chaos hook share one
 		// cadence: a single query overshoots any of them by at most one
 		// check interval of work.
@@ -491,13 +482,6 @@ func constOf(lc *poly.LinComb) (ff.Element, bool) {
 // which keeps substitution fill-in low and leaves structural variables
 // (inputs, shared signals) available for the pattern rules. Ties break on
 // smallest ID for determinism.
-//
-// Only equations are tallied, never disequalities. This is what makes the
-// incremental slice sessions (incremental.go) exact: the elimination order
-// of the shared base state — which carries no per-target disequality — is
-// then identical to the order a from-scratch solve of base ∧ (target ≠
-// target′) would pick, so a batched continuation explores the same search
-// tree and finds the same model as the monolithic path.
 func pickPivot(st *state, lin *poly.LinComb) int {
 	vars := lin.Vars()
 	if len(vars) == 1 {
